@@ -28,7 +28,6 @@ from .partitions import (
     bound_v,
     closed_form_m,
     enumerate_kstretch,
-    max_sum_squares,
     young_diagram,
 )
 from .povm import PositivityError, build_stpovm, certification_residuals, r_range, \
@@ -36,7 +35,7 @@ from .povm import PositivityError, build_stpovm, certification_residuals, r_rang
 from .states import antisymmetric_state, ghz_qudit, load_state_file
 
 CSV_HEADER = ("N,k,d,s,t,r,f,p,lhs_skew,i_bound,violated_skew,"
-              "lhs_var,v_bound,violated_var,m_source")
+              "lhs_var,v_bound,violated_var")
 
 
 def fmt(x) -> str:
@@ -186,15 +185,13 @@ def _p_values(p: tuple[float, ...], p_range: Optional[str]) -> list[float]:
 @click.option("--p-range", default=None, help="START:STOP:COUNT grid of p values.")
 @click.option("--f", "f_choice", default="all", show_default=True,
               help="qfi | wyd[:omega] | variance | all")
-@click.option("--m-source", type=click.Choice(["enumeration", "closed_form"]),
-              default="enumeration", show_default=True)
 @click.option("--format", "out_format", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 @click.option("--config", "config", type=click.Path(exists=True), default=None)
 @click.pass_context
 def cmd_criteria(ctx, family, state_file, d, n, k, s, t, r, p, p_range, f_choice,
-                 m_source, out_format, output, config):
+                 out_format, output, config):
     """Evaluate both detection inequalities over a sweep of noise values."""
     _apply_config(ctx, config)
     pr = ctx.params
@@ -210,8 +207,7 @@ def cmd_criteria(ctx, family, state_file, d, n, k, s, t, r, p, p_range, f_choice
     for p_val in p_values:
         for quantity in quantities:
             f_spec = None if quantity == VARIANCE else quantity
-            reports.append(evaluate(fam, m, f_spec, pr["k"], p=p_val,
-                                    m_source=pr["m_source"]))
+            reports.append(evaluate(fam, m, f_spec, pr["k"], p=p_val))
     cfg = _config_echo(pr)
     if pr["out_format"] == "json":
         text = json.dumps({"config": cfg,
@@ -224,7 +220,7 @@ def cmd_criteria(ctx, family, state_file, d, n, k, s, t, r, p, p_range, f_choice
                 fmt(rep.n), fmt(rep.k), fmt(rep.d), fmt(rep.s), fmt(rep.t),
                 fmt(rep.r), rep.f_label, fmt(rep.p), fmt(rep.lhs_skew),
                 fmt(rep.i_bound), fmt(rep.violated_skew), fmt(rep.lhs_var),
-                fmt(rep.v_bound), fmt(rep.violated_var), rep.m_source,
+                fmt(rep.v_bound), fmt(rep.violated_var),
             ]))
         text = "\n".join(lines) + "\n"
     _emit(text, pr["output"])
@@ -243,14 +239,12 @@ def cmd_criteria(ctx, family, state_file, d, n, k, s, t, r, p, p_range, f_choice
 @click.option("--t", type=int, default=9, show_default=True)
 @click.option("--r", default="max", show_default=True)
 @click.option("--f", "f_choice", default="all", show_default=True)
-@click.option("--m-source", type=click.Choice(["enumeration", "closed_form"]),
-              default="enumeration", show_default=True)
 @click.option("--format", "out_format", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 @click.option("--config", "config", type=click.Path(exists=True), default=None)
 @click.pass_context
-def cmd_threshold(ctx, family, state_file, d, n, k, s, t, r, f_choice, m_source,
+def cmd_threshold(ctx, family, state_file, d, n, k, s, t, r, f_choice,
                   out_format, output, config):
     """Solve for the smallest detectable noise weight per (N, criterion)."""
     _apply_config(ctx, config)
@@ -265,8 +259,7 @@ def cmd_threshold(ctx, family, state_file, d, n, k, s, t, r, f_choice, m_source,
             for quantity in quantities:
                 label = VARIANCE if quantity == VARIANCE else quantity.label
                 criterion = "variance" if quantity == VARIANCE else "skew"
-                p_star = threshold_p(fam, m, quantity, k_val,
-                                     m_source=pr["m_source"])
+                p_star = threshold_p(fam, m, quantity, k_val)
                 rows.append((n_val, k_val, label, criterion, p_star))
     except NonMonotoneIndicatorError as exc:
         click.echo(f"error: {exc}; grid = {exc.grid}", err=True)
@@ -311,7 +304,7 @@ def cmd_partitions(ctx, n, k, d, s, t, r, diagrams, config):
     click.echo(f"{len(parts_list)} {k}-stretchable partition(s) of {n}")
     if not parts_list:
         sys.exit(0)
-    m_enum = max_sum_squares(n, k)
+    m_enum = max(sum(size * size for size in parts) for parts in parts_list)
     m_closed = closed_form_m(n, min(k, n - 1))
     agreement = ("n/a" if m_closed is None
                  else "agree" if m_closed == m_enum else "DISAGREE")

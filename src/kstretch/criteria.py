@@ -24,7 +24,7 @@ from .infoquant import (
     criterion_lhs_isotropic,
 )
 from .linalg import DensityMatrix
-from .partitions import BoundInputs, MSource, bound_i, bound_v, enumerate_kstretch
+from .partitions import BoundInputs, bound_i, bound_v, enumerate_kstretch
 from .povm import SymmetricMeasurement, probability_square_sum_pure
 from .states import IsotropicFamily, effect_moments
 
@@ -64,7 +64,6 @@ class CriterionReport:
     v_bound: float
     violated_skew: Optional[bool]
     violated_var: bool
-    m_source: str
     p: Optional[float] = None
 
     @property
@@ -80,23 +79,20 @@ class CriterionReport:
             "lhs_skew": self.lhs_skew, "i_bound": self.i_bound,
             "violated_skew": self.violated_skew,
             "lhs_var": self.lhs_var, "v_bound": self.v_bound,
-            "violated_var": self.violated_var,
-            "m_source": self.m_source, "verdict": self.verdict,
+            "violated_var": self.violated_var, "verdict": self.verdict,
         }
 
 
-def _bounds(m: SymmetricMeasurement, n: int, k: int,
-            m_source: MSource) -> tuple[float, float]:
+def _bounds(m: SymmetricMeasurement, n: int, k: int) -> tuple[float, float]:
     inputs = BoundInputs.from_measurement(m, n, k)
-    return bound_i(inputs, m_source), bound_v(inputs, m_source)
+    return bound_i(inputs), bound_v(inputs)
 
 
 def evaluate(state: Union[DensityMatrix, IsotropicFamily],
              m: SymmetricMeasurement,
              f_spec: Optional[MonotoneFunctionSpec],
              k: int,
-             p: Optional[float] = None,
-             m_source: MSource = "enumeration") -> CriterionReport:
+             p: Optional[float] = None) -> CriterionReport:
     """Evaluate both inequalities; f_spec=None skips the skew criterion.
 
     `state` is a dense DensityMatrix, or an IsotropicFamily together
@@ -120,7 +116,7 @@ def evaluate(state: Union[DensityMatrix, IsotropicFamily],
         )
     if d != m.d:
         raise ValueError(f"state dimension {d} != measurement dimension {m.d}")
-    i_bd, v_bd = (float(b) for b in _bounds(m, n, k, m_source))
+    i_bd, v_bd = (float(b) for b in _bounds(m, n, k))
     return CriterionReport(
         n=n, k=k, d=d, s=m.s, t=m.t, r=m.r,
         f_label=f_spec.label if f_spec is not None else VARIANCE,
@@ -128,13 +124,12 @@ def evaluate(state: Union[DensityMatrix, IsotropicFamily],
         violated_skew=(bool(lhs_skew > i_bd + VERDICT_MARGIN)
                        if lhs_skew is not None else None),
         violated_var=bool(lhs_var < v_bd - VERDICT_MARGIN),
-        m_source=m_source, p=p,
+        p=p,
     )
 
 
 def threshold_p(family: IsotropicFamily, m: SymmetricMeasurement,
-                quantity: Quantity, k: int,
-                m_source: MSource = "enumeration") -> Optional[float]:
+                quantity: Quantity, k: int) -> Optional[float]:
     """Smallest p in [0,1] where the chosen inequality is violated.
 
     quantity selects the criterion: a MonotoneFunctionSpec runs the
@@ -145,7 +140,7 @@ def threshold_p(family: IsotropicFamily, m: SymmetricMeasurement,
     """
     n, d = family.n, family.d
     moments = [effect_moments(family, a) for a in m.iter_effects()]
-    i_bd, v_bd = _bounds(m, n, k, m_source)
+    i_bd, v_bd = _bounds(m, n, k)
 
     def violated(p: float) -> bool:
         lhs = criterion_lhs_isotropic(moments, p, d, n, quantity)

@@ -74,24 +74,14 @@ def f_zero(spec: MonotoneFunctionSpec) -> float:
     return f_eval(spec, 0.0)
 
 
-def _pair_weight(spec: MonotoneFunctionSpec, a: float, b: float) -> float:
-    """The spectral weight (a-b)^2 / (b f(a/b)); analytic limit at b=0.
+def _weight_matrix(lam: np.ndarray, spec: MonotoneFunctionSpec) -> np.ndarray:
+    """Spectral weights (a-b)^2 / (b f(a/b)) for every pair of the
+    nonnegative eigenvalues `lam`, with the analytic limit at b=0.
 
     Both families reduce to closed forms regular at b=0: QFI gives
     2(a-b)^2/(a+b) (limit 2a) and WYD gives
     (a^w - b^w)(a^(1-w) - b^(1-w)) / (w(1-w)) (limit a/(w(1-w))).
     """
-    if abs(a - b) < EIG_ZERO_TOL:
-        return 0.0
-    a = max(a, 0.0)
-    b = max(b, 0.0)
-    if spec.family == "qfi":
-        return 2.0 * (a - b) ** 2 / (a + b)
-    w = spec.omega
-    return (a**w - b**w) * (a ** (1 - w) - b ** (1 - w)) / (w * (1 - w))
-
-
-def _weight_matrix(lam: np.ndarray, spec: MonotoneFunctionSpec) -> np.ndarray:
     a = lam[:, None]
     b = lam[None, :]
     if spec.family == "qfi":
@@ -145,8 +135,8 @@ class CollectiveMoments:
 
     mean: float           # <psi| A |psi>
     second_moment: float  # <psi| A^2 |psi>
-    trace_op: float       # Tr A
-    trace_op_sq: float    # Tr A^2
+    trace_op: float       # Tr A / D, normalized so large n cannot overflow
+    trace_op_sq: float    # Tr A^2 / D
 
     @property
     def pure_variance(self) -> float:
@@ -170,12 +160,11 @@ def collective_moments_from_rdms(rho1: DensityMatrix, rho2: DensityMatrix,
     second = n * np.trace(a @ a @ rho1.entries).real
     if n > 1:
         second += n * (n - 1) * np.trace(kron(a, a) @ rho2.entries).real
-    tr_a = np.trace(a).real
-    tr_a2 = np.trace(a @ a).real
-    trace_op = n * tr_a * d ** (n - 1)
-    trace_op_sq = n * tr_a2 * d ** (n - 1)
-    if n > 1:
-        trace_op_sq += n * (n - 1) * tr_a**2 * d ** (n - 2)
+    # single-site traces over d: the D-normalized moments need no d**n
+    tr_a = np.trace(a).real / d
+    tr_a2 = np.trace(a @ a).real / d
+    trace_op = n * tr_a
+    trace_op_sq = n * tr_a2 + n * (n - 1) * tr_a**2
     return CollectiveMoments(float(mean), float(second),
                              float(trace_op), float(trace_op_sq))
 
@@ -224,16 +213,14 @@ def criterion_lhs_isotropic(moments: list[CollectiveMoments], p: float,
     spectrum {p + (1-p)/D, (1-p)/D (x D-1)}."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    dim_total = float(d) ** n
-    lam1 = p + (1 - p) / dim_total
-    lam0 = (1 - p) / dim_total
     if quantity == VARIANCE:
         total = 0.0
         for mom in moments:
-            second = p * mom.second_moment + (1 - p) * mom.trace_op_sq / dim_total
-            mean = p * mom.mean + (1 - p) * mom.trace_op / dim_total
+            second = p * mom.second_moment + (1 - p) * mom.trace_op_sq
+            mean = p * mom.mean + (1 - p) * mom.trace_op
             total += second - mean**2
         return total
-    weight = _pair_weight(quantity, lam1, lam0) + _pair_weight(quantity, lam0, lam1)
-    factor = 0.5 * f_zero(quantity) * weight
+    lam0 = (1 - p) * float(d) ** -n
+    weights = _weight_matrix(np.array([p + lam0, lam0]), quantity)
+    factor = 0.5 * f_zero(quantity) * (weights[0, 1] + weights[1, 0])
     return factor * sum(mom.pure_variance for mom in moments)

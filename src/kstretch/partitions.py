@@ -1,21 +1,20 @@
-"""k-stretchable partition combinatorics and the piecewise detection bounds.
+"""k-stretchable partition combinatorics and the detection bounds.
 
 Only block-size multisets matter here: both the stretchability condition
 max(parts) - len(parts) <= k and the quantity sum(parts^2) depend on
-sizes alone.  Enumeration is the ground truth for the maximizing value
-M; the piecewise closed forms are a validated fast path (they overshoot
-for some small N, see `bracket_audit`).
+sizes alone.  The bounds use the exact maximum M(N,k), computed in O(N)
+by block count.  Partition enumeration and the paper's piecewise bracket
+stay as audit oracles: the bracket falls below the true M for some k < 0
+and overshoots it for some small N (see `bracket_audit`).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator
 
 import numpy as np
-
-MSource = Literal["enumeration", "closed_form"]
 
 
 def stretchability(parts: tuple[int, ...]) -> int:
@@ -47,11 +46,27 @@ def enumerate_kstretch(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 def max_sum_squares(n: int, k: int) -> int:
-    """Exact max of sum(parts^2) over k-stretchable partitions of n."""
-    admissible = enumerate_kstretch(n, k)
-    if not admissible:
+    """Exact max of sum(parts^2) over k-stretchable partitions of n.
+
+    With L blocks the largest block holds at most b = min(L+k, n-L+1)
+    sites.  Sum of squares is convex, so the best filling of L blocks is
+    q = (n-L)//(b-1) blocks of size b, one block of size 1 + remainder,
+    and ones elsewhere.  M is the maximum of that over L: O(n) steps.
+    """
+    if k < 1 - n:
+        warnings.warn(f"no partition of {n} is {k}-stretchable", stacklevel=2)
         raise ValueError(f"no {k}-stretchable partition of {n} exists")
-    return max(sum(p * p for p in parts) for parts in admissible)
+    best = n  # n singletons are always admissible here
+    for blocks in range(1, n):
+        cap = min(blocks + k, n - blocks + 1)
+        if cap < 2:
+            continue
+        full, rem = divmod(n - blocks, cap - 1)
+        if full + (rem > 0) > blocks:
+            continue  # blocks of at most `cap` sites cannot cover n
+        # the last two terms cancel when all blocks are full (rem = 0)
+        best = max(best, full * cap * cap + (1 + rem) ** 2 + blocks - full - 1)
+    return best
 
 
 def closed_form_m(n: int, k: int) -> int | None:
@@ -99,17 +114,7 @@ class BoundInputs:
         return cls(n=n, k=k, d=m.d, s=m.s, t=m.t, r=m.r, chi=m.chi)
 
 
-def _m_value(inputs: BoundInputs, m_source: MSource) -> int:
-    if m_source == "enumeration":
-        return max_sum_squares(inputs.n, inputs.k)
-    value = closed_form_m(inputs.n, inputs.k)
-    if value is None:
-        # V-bound odd branch evaluates to exactly n at n+k = 1
-        return inputs.n
-    return value
-
-
-def bound_i(inputs: BoundInputs, m_source: MSource = "enumeration") -> float:
+def bound_i(inputs: BoundInputs) -> float:
     """Upper bound on the skew-information sum for k-stretchable states."""
     n, d, s, t, r, chi = (inputs.n, inputs.d, inputs.s, inputs.t,
                           inputs.r, inputs.chi)
@@ -119,19 +124,19 @@ def bound_i(inputs: BoundInputs, m_source: MSource = "enumeration") -> float:
             s / t + r**2 * big_t * (d - 1 / d)
             - (d - 1) * (d**2 + t**2 * chi) / (d * t * (t - 1))
         )
-    m_val = _m_value(inputs, m_source)
+    m_val = max_sum_squares(n, inputs.k)
     return (
         n * (r**2 * big_t * (d - 1) - (d**2 - 1) / (t * (t - 1)))
         + (s / t + r**2 * big_t * (1 - 1 / d)) * m_val
     )
 
 
-def bound_v(inputs: BoundInputs, m_source: MSource = "enumeration") -> float:
+def bound_v(inputs: BoundInputs) -> float:
     """Lower bound on the variance sum for k-stretchable states."""
     n, d, s, t, r, chi = (inputs.n, inputs.d, inputs.s, inputs.t,
                           inputs.r, inputs.chi)
     big_t = t * (np.sqrt(t) + 1) ** 2
-    m_val = _m_value(inputs, m_source)
+    m_val = max_sum_squares(n, inputs.k)
     return (
         r**2 * big_t * (d + 1) * n
         + (
@@ -149,7 +154,8 @@ def bracket_audit(max_n: int = 14) -> list[dict]:
     rows = []
     for n in range(2, max_n + 1):
         for k in range(2 - n, n):
-            enum = max_sum_squares(n, k)
+            enum = max(sum(p * p for p in parts)
+                       for parts in enumerate_kstretch(n, k))
             closed = closed_form_m(n, k)
             rows.append(
                 {

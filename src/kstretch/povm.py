@@ -168,25 +168,18 @@ def certification_residuals(m: SymmetricMeasurement) -> dict[str, float]:
     res["trace"] = max(
         abs(np.trace(a).real - d / t) for a in m.iter_effects()
     )
-    res["purity"] = max(
-        abs(np.trace(a @ a).real - chi) for a in m.iter_effects()
-    )
-    cross_v = 0.0
-    cross_u = 0.0
+    # Tr(A B) = <vec A, vec B> for Hermitian effects, ordered (u, v) row-major
+    flat = np.array([a.ravel() for a in m.iter_effects()])
+    gram = (flat.conj() @ flat.T).real
+    res["purity"] = float(np.max(np.abs(np.diag(gram) - chi)))
+    group = np.repeat(np.arange(s), t)
+    same_u = group[:, None] == group[None, :]
+    off_diag = ~np.eye(s * t, dtype=bool)
     within = (d - t * chi) / (t * (t - 1))
-    for u in range(s):
-        for v in range(t):
-            for u2 in range(u, s):
-                for v2 in range(t):
-                    if (u, v) >= (u2, v2):
-                        continue
-                    ip = np.trace(m.effects[u][v] @ m.effects[u2][v2]).real
-                    if u == u2:
-                        cross_v = max(cross_v, abs(ip - within))
-                    else:
-                        cross_u = max(cross_u, abs(ip - d / t**2))
-    res["cross_outcome"] = cross_v
-    res["cross_measurement"] = cross_u
+    res["cross_outcome"] = float(np.max(np.abs(gram - within),
+                                        where=same_u & off_diag, initial=0.0))
+    res["cross_measurement"] = float(np.max(np.abs(gram - d / t**2),
+                                            where=~same_u, initial=0.0))
     res["square_sum"] = verify_square_sum(m)
     res["chi_consistency"] = abs(chi - chi_of_r(d, t, m.r))
     return res

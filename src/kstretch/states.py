@@ -167,6 +167,7 @@ def effect_moments(family: IsotropicFamily, a: np.ndarray) -> CollectiveMoments:
     big = collective_operator(a, family.n)
     mean = float(np.real(vec.conj() @ big @ vec))
     second = float(np.real(vec.conj() @ big @ big @ vec))
+    dim_total = family.total_dim
     return CollectiveMoments(mean, second,
-                             float(np.trace(big).real),
-                             float(np.trace(big @ big).real))
+                             float(np.trace(big).real) / dim_total,
+                             float(np.trace(big @ big).real) / dim_total)

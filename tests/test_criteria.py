@@ -20,8 +20,7 @@ from kstretch.states import antisymmetric_state, ghz_qudit, materialize_dense
 
 def test_verdict_logic():
     base = dict(n=3, k=0, d=3, s=1, t=9, r=0.01, f_label="qfi",
-                lhs_skew=1.0, lhs_var=1.0, i_bound=2.0, v_bound=0.5,
-                m_source="enumeration")
+                lhs_skew=1.0, lhs_var=1.0, i_bound=2.0, v_bound=0.5)
     assert CriterionReport(**base, violated_skew=False,
                            violated_var=False).verdict == "inconclusive"
     assert CriterionReport(**base, violated_skew=True,

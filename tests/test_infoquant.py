@@ -108,8 +108,10 @@ def test_moments_from_rdms_match_dense(rng):
         np.real(vec_sym.conj() @ big @ vec_sym), abs=1e-10)
     assert mom.second_moment == pytest.approx(
         np.real(vec_sym.conj() @ big @ big @ vec_sym), abs=1e-10)
-    assert mom.trace_op == pytest.approx(np.trace(big).real, abs=1e-10)
-    assert mom.trace_op_sq == pytest.approx(np.trace(big @ big).real, abs=1e-10)
+    dim = d**n
+    assert mom.trace_op * dim == pytest.approx(np.trace(big).real, abs=1e-10)
+    assert mom.trace_op_sq * dim == pytest.approx(
+        np.trace(big @ big).real, abs=1e-10)
 
 
 def test_pure_variance_property():
@@ -121,6 +123,7 @@ def test_pure_variance_property():
 def test_isotropic_path_matches_dense(m14):
     """Spot-check of the exact fast path against a dense evaluation."""
     d, n = 2, 2
+    dim = d**n
     vec = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
     moments = []
     for a in m14.iter_effects():
@@ -128,10 +131,9 @@ def test_isotropic_path_matches_dense(m14):
         moments.append(CollectiveMoments(
             float(np.real(vec.conj() @ big @ vec)),
             float(np.real(vec.conj() @ big @ big @ vec)),
-            float(np.trace(big).real),
-            float(np.trace(big @ big).real)))
+            float(np.trace(big).real) / dim,
+            float(np.trace(big @ big).real) / dim))
     for p in (0.0, 0.4, 1.0):
-        dim = d**n
         rho = DensityMatrix((d,) * n,
                             p * np.outer(vec, vec.conj()) + (1 - p) / dim * np.eye(dim))
         for quantity in (QFI, WYD_HALF, VARIANCE):

@@ -39,6 +39,19 @@ def test_full_separability_limit():
     assert max_sum_squares(4, -3) == 4
 
 
+def test_block_count_matches_enumeration():
+    for n in range(1, 21):
+        for k in range(1 - n, n + 2):
+            oracle = max(sum(p * p for p in parts)
+                         for parts in enumerate_kstretch(n, k))
+            assert max_sum_squares(n, k) == oracle, (n, k)
+
+
+def test_block_count_large_n():
+    assert max_sum_squares(10**4, 1 - 10**4) == 10**4  # singletons only
+    assert max_sum_squares(10**4, 10**4) == 10**8      # one block
+
+
 def test_large_k_includes_everything():
     got = enumerate_kstretch(5, 10)
     assert (5,) in got and len(got) == 7  # all partitions of 5
@@ -72,7 +85,7 @@ def test_closed_form_edge_cases():
 
 def test_bracket_is_upper_bound_for_nonnegative_k():
     # for k < 0 the piecewise forms can undershoot (e.g. N=5, k=-3),
-    # which is why enumeration is the default M source
+    # which is why the bounds use the exact block-count M
     for row in bracket_audit(12):
         if row["k"] >= 0:
             assert row["closed_form"] >= row["enumeration"], row
@@ -109,16 +122,6 @@ def test_bounds_match_independent_arithmetic(m19):
     inputs = BoundInputs.from_measurement(m19, 4, 0)
     assert bound_i(inputs) == pytest.approx(i_expect, abs=1e-12)
     assert bound_v(inputs) == pytest.approx(v_expect, abs=1e-12)
-
-
-def test_bound_sources_agree_when_bracket_matches(m19):
-    inputs = BoundInputs.from_measurement(m19, 10, 0)
-    assert bound_i(inputs, "enumeration") == pytest.approx(
-        bound_i(inputs, "closed_form"), abs=1e-12)
-    inputs = BoundInputs.from_measurement(m19, 3, 1)
-    # bracket overshoots here, so the closed-form bound is weaker
-    assert bound_i(inputs, "closed_form") > bound_i(inputs, "enumeration")
-    assert bound_v(inputs, "closed_form") < bound_v(inputs, "enumeration")
 
 
 def test_bound_i_special_branch(m19):

@@ -1,6 +1,7 @@
 """Benchmark families: closed-form reduced states vs the partial-trace oracle."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -116,8 +117,10 @@ def test_effect_moments_fast_vs_dense(m19):
                 np.real(vec.conj() @ big @ vec), abs=1e-10)
             assert mom.second_moment == pytest.approx(
                 np.real(vec.conj() @ big @ big @ vec), abs=1e-10)
-            assert mom.trace_op == pytest.approx(np.trace(big).real, abs=1e-8)
-            assert mom.trace_op_sq == pytest.approx(
+            dim = fam.total_dim
+            assert mom.trace_op * dim == pytest.approx(
+                np.trace(big).real, abs=1e-8)
+            assert mom.trace_op_sq * dim == pytest.approx(
                 np.trace(big @ big).real, abs=1e-8)
 
 
@@ -126,3 +129,18 @@ def test_antisym_collective_variance_vanishes(m19):
     fam = antisymmetric_state(3)
     for a in m19.iter_effects():
         assert effect_moments(fam, a).pure_variance == pytest.approx(0.0, abs=1e-10)
+
+
+def test_effect_moments_finite_at_large_n(m19):
+    """Normalized trace moments stay finite where 3**N overflows a float."""
+    from kstretch.infoquant import QFI, VARIANCE, criterion_lhs_isotropic
+    fam = ghz_qudit(3, 700)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moments = [effect_moments(fam, a) for a in m19.iter_effects()]
+        lhs = [criterion_lhs_isotropic(moments, 0.5, 3, 700, q)
+               for q in (QFI, VARIANCE)]
+    for mom in moments:
+        assert np.all(np.isfinite([mom.mean, mom.second_moment,
+                                   mom.trace_op, mom.trace_op_sq]))
+    assert np.all(np.isfinite(lhs))
