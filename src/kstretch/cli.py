@@ -18,7 +18,7 @@ import numpy as np
 from .basis import InformationalCompletenessError, gell_mann_basis
 from .criteria import (
     NonMonotoneIndicatorError,
-    evaluate,
+    evaluate_sweep,
     threshold_p,
 )
 from .infoquant import VARIANCE, MonotoneFunctionSpec
@@ -111,8 +111,8 @@ def _emit(text: str, output: Optional[str]) -> None:
     if output:
         with open(output, "w") as fh:
             fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    else:  # file= bypasses click's stream cache, which keeps every stdout alive
+        click.echo(text, nl=False, file=sys.stdout)
 
 
 @click.group()
@@ -203,11 +203,10 @@ def cmd_criteria(ctx, family, state_file, d, n, k, s, t, r, p, p_range, f_choice
     except (InformationalCompletenessError, PositivityError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    reports = []
-    for p_val in p_values:
-        for quantity in quantities:
-            f_spec = None if quantity == VARIANCE else quantity
-            reports.append(evaluate(fam, m, f_spec, pr["k"], p=p_val))
+    reports = evaluate_sweep(fam, m, pr["k"], [
+        (None if quantity == VARIANCE else quantity, p_val)
+        for p_val in p_values for quantity in quantities
+    ])
     cfg = _config_echo(pr)
     if pr["out_format"] == "json":
         text = json.dumps({"config": cfg,

@@ -10,14 +10,12 @@ Satisfying both inequalities is always "inconclusive".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import infoquant
 from .infoquant import (
     VARIANCE,
-    CollectiveMoments,
     MonotoneFunctionSpec,
     collective_operator,
     criterion_lhs_dense,
@@ -25,7 +23,7 @@ from .infoquant import (
 )
 from .linalg import DensityMatrix
 from .partitions import BoundInputs, bound_i, bound_v, enumerate_kstretch
-from .povm import SymmetricMeasurement, probability_square_sum_pure
+from .povm import SymmetricMeasurement
 from .states import IsotropicFamily, effect_moments
 
 VERDICT_MARGIN = 1e-9
@@ -41,10 +39,6 @@ class NonMonotoneIndicatorError(RuntimeError):
     def __init__(self, grid: list[tuple[float, bool]]):
         self.grid = grid
         super().__init__("violation indicator is not monotone on the p-grid")
-
-
-def quantity_label(quantity: Quantity) -> str:
-    return VARIANCE if quantity == VARIANCE else quantity.label
 
 
 @dataclass(frozen=True)
@@ -88,6 +82,24 @@ def _bounds(m: SymmetricMeasurement, n: int, k: int) -> tuple[float, float]:
     return bound_i(inputs), bound_v(inputs)
 
 
+def _reports(m: SymmetricMeasurement, n: int, k: int, cases,
+             lhs: Callable[[Quantity, Optional[float]], float]) -> list[CriterionReport]:
+    """One report per (f_spec, p) in `cases`; lhs(quantity, p) is the LHS."""
+    i_bd, v_bd = (float(b) for b in _bounds(m, n, k))
+    reports = []
+    for f_spec, p in cases:
+        lhs_var = lhs(VARIANCE, p)
+        lhs_skew = lhs(f_spec, p) if f_spec is not None else None
+        reports.append(CriterionReport(
+            n=n, k=k, d=m.d, s=m.s, t=m.t, r=m.r,
+            f_label=f_spec.label if f_spec is not None else VARIANCE,
+            lhs_skew=lhs_skew, lhs_var=lhs_var, i_bound=i_bd, v_bound=v_bd,
+            violated_skew=(bool(lhs_skew > i_bd + VERDICT_MARGIN)
+                           if lhs_skew is not None else None),
+            violated_var=bool(lhs_var < v_bd - VERDICT_MARGIN), p=p))
+    return reports
+
+
 def evaluate(state: Union[DensityMatrix, IsotropicFamily],
              m: SymmetricMeasurement,
              f_spec: Optional[MonotoneFunctionSpec],
@@ -101,31 +113,22 @@ def evaluate(state: Union[DensityMatrix, IsotropicFamily],
     if isinstance(state, IsotropicFamily):
         if p is None:
             raise ValueError("isotropic evaluation requires a mixing weight p")
-        n, d = state.n, state.d
-        moments = [effect_moments(state, a) for a in m.iter_effects()]
-        lhs_var = criterion_lhs_isotropic(moments, p, d, n, VARIANCE)
-        lhs_skew = (
-            criterion_lhs_isotropic(moments, p, d, n, f_spec)
-            if f_spec is not None else None
-        )
-    else:
-        n, d = state.n_sites, state.site_dims[0]
-        lhs_var = criterion_lhs_dense(state, m, VARIANCE)
-        lhs_skew = (
-            criterion_lhs_dense(state, m, f_spec) if f_spec is not None else None
-        )
+        return evaluate_sweep(state, m, k, [(f_spec, p)])[0]
+    return _reports(m, state.n_sites, k, [(f_spec, p)],
+                    lambda quantity, _: criterion_lhs_dense(state, m, quantity))[0]
+
+
+def evaluate_sweep(family: IsotropicFamily, m: SymmetricMeasurement, k: int,
+                   cases: Sequence[tuple[Optional[MonotoneFunctionSpec], float]]
+                   ) -> list[CriterionReport]:
+    """Both inequalities on p |psi><psi| + (1-p)/D for each (f_spec, p) in
+    `cases`, in order; effect moments and bounds are computed once."""
+    n, d = family.n, family.d
     if d != m.d:
         raise ValueError(f"state dimension {d} != measurement dimension {m.d}")
-    i_bd, v_bd = (float(b) for b in _bounds(m, n, k))
-    return CriterionReport(
-        n=n, k=k, d=d, s=m.s, t=m.t, r=m.r,
-        f_label=f_spec.label if f_spec is not None else VARIANCE,
-        lhs_skew=lhs_skew, lhs_var=lhs_var, i_bound=i_bd, v_bound=v_bd,
-        violated_skew=(bool(lhs_skew > i_bd + VERDICT_MARGIN)
-                       if lhs_skew is not None else None),
-        violated_var=bool(lhs_var < v_bd - VERDICT_MARGIN),
-        p=p,
-    )
+    moments = [effect_moments(family, a) for a in m.iter_effects()]
+    return _reports(m, n, k, cases,
+                    lambda quantity, p: criterion_lhs_isotropic(moments, p, d, n, quantity))
 
 
 def threshold_p(family: IsotropicFamily, m: SymmetricMeasurement,

@@ -1,11 +1,12 @@
 """Operator monotone functions, skew information, variance, and the
 collective-observable left-hand sides of the detection inequalities.
 
-Two evaluation paths exist for the criteria: a dense path that
-materializes the collective operators (feasible up to total dimension
-~2500) and an exact fast path for isotropic mixtures
-p |psi><psi| + (1-p)/D, whose two-level spectrum reduces the spectral
-sum to pure-state moments.
+Two evaluation paths exist for the criteria: a dense path that applies
+each effect site by site to the eigenvectors of one cached
+eigendecomposition (feasible up to total dimension ~2500; the dense
+collective operators remain only as test oracles), and an exact fast path
+for isotropic mixtures p |psi><psi| + (1-p)/D, whose two-level spectrum
+reduces the spectral sum to pure-state moments.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .linalg import (
     EIG_ZERO_TOL,
     check_hermitian,
     embed_site,
-    hermitian_eig,
     kron,
 )
 
@@ -74,37 +74,50 @@ def f_zero(spec: MonotoneFunctionSpec) -> float:
     return f_eval(spec, 0.0)
 
 
-def _weight_matrix(lam: np.ndarray, spec: MonotoneFunctionSpec) -> np.ndarray:
-    """Spectral weights (a-b)^2 / (b f(a/b)) for every pair of the
-    nonnegative eigenvalues `lam`, with the analytic limit at b=0.
+def _weight_matrix(rows: np.ndarray, cols: np.ndarray,
+                   spec: MonotoneFunctionSpec) -> np.ndarray:
+    """Skew weights f(0)/2 (a-b)^2 / (b f(a/b)) for every pair of nonnegative
+    eigenvalues a in `rows`, b in `cols`, with the analytic limit at b=0.
 
     Both families reduce to closed forms regular at b=0: QFI gives
-    2(a-b)^2/(a+b) (limit 2a) and WYD gives
-    (a^w - b^w)(a^(1-w) - b^(1-w)) / (w(1-w)) (limit a/(w(1-w))).
+    (a-b)^2/(2(a+b)) and WYD gives (a^w - b^w)(a^(1-w) - b^(1-w)) / 2 (both
+    with limit a/2); f(0) = w(1-w) cancels, so no omega in (0,1) overflows.
     """
-    a = lam[:, None]
-    b = lam[None, :]
+    a = rows[:, None]
+    b = cols[None, :]
     if spec.family == "qfi":
         denom = a + b
         with np.errstate(divide="ignore", invalid="ignore"):
             weights = np.where(denom > EIG_ZERO_TOL,
-                               2.0 * (a - b) ** 2 / denom, 0.0)
+                               0.5 * (a - b) ** 2 / denom, 0.0)
     else:
         w = spec.omega
-        weights = (a**w - b**w) * (a ** (1 - w) - b ** (1 - w)) / (w * (1 - w))
+        weights = 0.5 * (a**w - b**w) * (a ** (1 - w) - b ** (1 - w))
     # degenerate pairs contribute nothing analytically
     weights[np.abs(a - b) < EIG_ZERO_TOL] = 0.0
     return weights
 
 
-def _skew_from_spectrum(evals: np.ndarray, x_eig: np.ndarray,
-                        spec: MonotoneFunctionSpec) -> float:
-    """Skew information from eigenvalues and X in the eigenbasis."""
+def _spectral_split(evals: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """(lam, c, flat): ascending eigenvalues as the weights see them, and the
+    largest window `flat` (a mask) of spread below EIG_ZERO_TOL, mean level c:
+    rho = c 1 + sum_{k not flat} (lam_k - c) |v_k><v_k|, flat pairs weigh 0."""
     lam = np.clip(evals, 0.0, None)
     lam[lam < EIG_ZERO_TOL] = 0.0
-    weights = _weight_matrix(lam, spec)
-    total = float(np.sum(weights * np.abs(x_eig) ** 2))
-    return 0.5 * f_zero(spec) * total
+    sizes = np.searchsorted(lam, lam + EIG_ZERO_TOL) - np.arange(lam.size)
+    start = int(np.argmax(sizes))
+    flat = np.zeros(lam.size, dtype=bool)
+    flat[start:start + sizes[start]] = True
+    return lam, float(np.mean(evals[flat])), flat
+
+
+def _skew_weights(lam: np.ndarray, flat: np.ndarray,
+                  spec: MonotoneFunctionSpec) -> np.ndarray:
+    """W with skew information sum(W * |X[~flat, :]|^2), X in the eigenbasis.
+    Weights and |X_ij|^2 are symmetric, so pairs (not flat, flat) count twice."""
+    weights = _weight_matrix(lam[~flat], lam, spec)
+    weights[:, flat] *= 2.0
+    return weights
 
 
 def skew_information(rho: DensityMatrix, x: np.ndarray,
@@ -113,9 +126,9 @@ def skew_information(rho: DensityMatrix, x: np.ndarray,
     x = check_hermitian(x)
     if x.shape[0] != rho.dim:
         raise ValueError(f"observable dimension {x.shape[0]} != {rho.dim}")
-    evals, evecs = hermitian_eig(rho.entries)
-    x_eig = evecs.conj().T @ x @ evecs
-    return _skew_from_spectrum(evals, x_eig, spec)
+    evals, evecs = rho.spectrum
+    weights = _skew_weights(_spectral_split(evals)[0], np.zeros(rho.dim, bool), spec)
+    return float(np.sum(weights * np.abs(evecs.conj().T @ x @ evecs) ** 2))
 
 
 def variance(rho: DensityMatrix, x: np.ndarray) -> float:
@@ -160,13 +173,24 @@ def collective_moments_from_rdms(rho1: DensityMatrix, rho2: DensityMatrix,
     second = n * np.trace(a @ a @ rho1.entries).real
     if n > 1:
         second += n * (n - 1) * np.trace(kron(a, a) @ rho2.entries).real
-    # single-site traces over d: the D-normalized moments need no d**n
+    return CollectiveMoments(float(mean), float(second), *_collective_traces(a, n))
+
+
+def _collective_traces(a: np.ndarray, n: int) -> tuple[float, float]:
+    """Tr A / D and Tr A^2 / D of A = A_1 + ... + A_n from single-site
+    traces over d: the D-normalized moments need no d**n."""
+    d = a.shape[0]
     tr_a = np.trace(a).real / d
     tr_a2 = np.trace(a @ a).real / d
-    trace_op = n * tr_a
-    trace_op_sq = n * tr_a2 + n * (n - 1) * tr_a**2
-    return CollectiveMoments(float(mean), float(second),
-                             float(trace_op), float(trace_op_sq))
+    return float(n * tr_a), float(n * tr_a2 + n * (n - 1) * tr_a**2)
+
+
+def _apply_collective(a: np.ndarray, n: int, vecs: np.ndarray) -> np.ndarray:
+    """(A_1 + ... + A_n) @ vecs (a vector or columns), one broadcast matmul
+    per site: O(n d D cols) work and no D x D operator."""
+    d = a.shape[0]
+    return sum((a @ vecs.reshape(d**i, d, vecs.size // d ** (i + 1))).reshape(vecs.shape)
+               for i in range(n))
 
 
 def collective_operator(a: np.ndarray, n: int) -> np.ndarray:
@@ -183,8 +207,12 @@ def collective_operator(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def criterion_lhs_dense(rho: DensityMatrix, m, quantity) -> float:
-    """Sum over all effects of the chosen quantity on dense collective
-    operators.  `quantity` is a MonotoneFunctionSpec or VARIANCE."""
+    """Sum over all effects of the chosen quantity (a MonotoneFunctionSpec
+    or VARIANCE) for the collective operators A = A_1 + ... + A_n.  With the
+    state's cached rho = c 1 + sum_R (lam_k - c) |v_k><v_k| (_spectral_split),
+    A acts site by site on v_k, k in R, only: the skew sum takes the rows
+    (A V_R)^dagger V, the variance Tr rho A^j = c Tr A^j + sum_R (lam_k - c)
+    <v_k|A^j|v_k>, j = 1, 2."""
     dims = set(rho.site_dims)
     if dims != {m.d}:
         raise ValueError(f"site dimensions {rho.site_dims} incompatible with d={m.d}")
@@ -193,17 +221,23 @@ def criterion_lhs_dense(rho: DensityMatrix, m, quantity) -> float:
         raise DenseSizeError(
             f"dense dimension {rho.dim} exceeds limit {DENSE_DIM_LIMIT}"
         )
-    if quantity == VARIANCE:
-        total = 0.0
-        for a in m.iter_effects():
-            total += variance(rho, collective_operator(a, n))
-        return total
-    evals, evecs = hermitian_eig(rho.entries)
+    evals, evecs = rho.spectrum
+    lam, c, flat = _spectral_split(evals)
+    v_rest = np.ascontiguousarray(evecs[:, ~flat])
     total = 0.0
+    if quantity == VARIANCE:
+        shift = evals[~flat] - c
+        for a in m.iter_effects():
+            av = _apply_collective(a, n, v_rest)
+            tr_a, tr_a2 = _collective_traces(a, n)
+            mean = c * rho.dim * tr_a + shift @ np.sum(v_rest.conj() * av, axis=0).real
+            second = c * rho.dim * tr_a2 + shift @ np.sum(np.abs(av) ** 2, axis=0)
+            total += float(second - mean**2)
+        return total
+    weights = _skew_weights(lam, flat, quantity)
     for a in m.iter_effects():
-        big = collective_operator(a, n)
-        x_eig = evecs.conj().T @ big @ evecs
-        total += _skew_from_spectrum(evals, x_eig, quantity)
+        x_rest = _apply_collective(a, n, v_rest).conj().T @ evecs
+        total += float(np.sum(weights * np.abs(x_rest) ** 2))
     return total
 
 
@@ -220,7 +254,7 @@ def criterion_lhs_isotropic(moments: list[CollectiveMoments], p: float,
             mean = p * mom.mean + (1 - p) * mom.trace_op
             total += second - mean**2
         return total
-    lam0 = (1 - p) * float(d) ** -n
-    weights = _weight_matrix(np.array([p + lam0, lam0]), quantity)
-    factor = 0.5 * f_zero(quantity) * (weights[0, 1] + weights[1, 0])
+    levels = np.array([p, 0.0]) + (1 - p) * float(d) ** -n
+    weights = _weight_matrix(levels, levels, quantity)
+    factor = weights[0, 1] + weights[1, 0]
     return factor * sum(mom.pure_variance for mom in moments)

@@ -8,6 +8,7 @@ numpy arrays; density matrices carry their per-site dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,7 +43,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Unit-trace PSD Hermitian operator on a tensor-product space."""
+    """Unit-trace PSD Hermitian operator on a tensor-product space; the
+    entries are stored read-only, so the cached `spectrum` cannot go stale."""
 
     site_dims: tuple[int, ...]
     entries: np.ndarray = field(repr=False)
@@ -61,10 +63,20 @@ class DensityMatrix:
         tr = np.trace(entries).real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace is {tr}, expected 1")
-        evals = np.linalg.eigvalsh(entries)
-        if evals.min() < -PSD_SLACK:
-            raise ValueError(f"not positive semidefinite (min eigenvalue {evals.min():.3e})")
+        try:  # rho >= -PSD_SLACK iff rho + PSD_SLACK has a Cholesky factor
+            np.linalg.cholesky(entries + PSD_SLACK * np.eye(dim))
+        except np.linalg.LinAlgError:
+            min_eig = np.linalg.eigvalsh(entries).min()
+            if min_eig < -PSD_SLACK:
+                raise ValueError(f"not positive semidefinite (min eigenvalue {min_eig:.3e})")
+        entries = entries.view()
+        entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """Eigendecomposition of the entries, computed on first use only."""
+        return hermitian_eig(self.entries)
 
     @property
     def dim(self) -> int:

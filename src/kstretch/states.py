@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .infoquant import DENSE_DIM_LIMIT, CollectiveMoments, DenseSizeError, \
-    collective_moments_from_rdms, collective_operator
-from .linalg import DensityMatrix, partial_trace
+    _apply_collective, _collective_traces, collective_moments_from_rdms
+from .linalg import DensityMatrix, check_hermitian, partial_trace
 
 
 @dataclass(frozen=True)
@@ -124,29 +124,12 @@ def state_vector(family: IsotropicFamily) -> np.ndarray:
     # antisymmetric: sum over permutations with parity signs
     vec = np.zeros(d**n, dtype=complex)
     for perm in permutations(range(n)):
-        sign = _parity(perm)
+        sign = (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
         idx = 0
         for level in perm:
             idx = idx * d + level
         vec[idx] = sign / np.sqrt(math.factorial(n))
     return vec
-
-
-def _parity(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def materialize_dense(family: IsotropicFamily, p: float) -> DensityMatrix:
@@ -163,11 +146,9 @@ def effect_moments(family: IsotropicFamily, a: np.ndarray) -> CollectiveMoments:
     """Collective moments of one single-site effect for this family's |psi>."""
     if family.kind in ("ghz", "antisym"):
         return collective_moments_from_rdms(family.rdm1, family.rdm2, a, family.n)
+    a = check_hermitian(a)
     vec = state_vector(family)
-    big = collective_operator(a, family.n)
-    mean = float(np.real(vec.conj() @ big @ vec))
-    second = float(np.real(vec.conj() @ big @ big @ vec))
-    dim_total = family.total_dim
-    return CollectiveMoments(mean, second,
-                             float(np.trace(big).real) / dim_total,
-                             float(np.trace(big @ big).real) / dim_total)
+    a_vec = _apply_collective(a, family.n, vec)
+    return CollectiveMoments(float(np.vdot(vec, a_vec).real),
+                             float(np.vdot(a_vec, a_vec).real),
+                             *_collective_traces(a, family.n))

@@ -1,6 +1,10 @@
 """CLI behavior: exit codes, output schema, config echo, determinism."""
 
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -94,6 +98,19 @@ def test_criteria_deterministic(runner):
     out1 = runner.invoke(main, args).output
     out2 = runner.invoke(main, args).output
     assert out1 == out2
+
+
+def test_output_stream_not_retained():
+    """An in-process call keeps no reference to the stdout it wrote to."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        main(["criteria", "--family", "ghz", "--d", "2", "--n", "3", "--k", "0",
+              "--s", "1", "--t", "4", "--p", "0.5"], standalone_mode=False)
+    assert out.getvalue().startswith("# config")
+    ref = weakref.ref(out)
+    del out
+    gc.collect()
+    assert ref() is None
 
 
 def test_threshold_antisym(runner):

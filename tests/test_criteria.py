@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kstretch import criteria, linalg
 from kstretch.basis import gell_mann_basis
 from kstretch.criteria import (
     CriterionReport,
@@ -10,6 +11,7 @@ from kstretch.criteria import (
     block_operator_bounds,
     block_probability_bounds,
     evaluate,
+    evaluate_sweep,
     random_kstretchable_density,
     threshold_p,
 )
@@ -42,6 +44,37 @@ def test_evaluate_fast_and_dense_agree(m19):
 def test_evaluate_requires_p_for_family(m19):
     with pytest.raises(ValueError):
         evaluate(ghz_qudit(3, 3), m19, QFI, k=0)
+
+
+def test_evaluate_dimension_mismatch(m19):
+    """The measurement dimension is checked before any work."""
+    with pytest.raises(ValueError, match="state dimension 2 != measurement dimension 3"):
+        evaluate(ghz_qudit(2, 3), m19, QFI, k=0, p=0.5)
+
+
+def test_evaluate_sweep_computes_moments_once(m19, monkeypatch):
+    """A sweep computes each effect's moments once and matches evaluate row by row."""
+    fam = ghz_qudit(3, 4)
+    cases = [(f_spec, p) for p in (0.0, 0.45, 1.0) for f_spec in (QFI, WYD_HALF, None)]
+    expected = [evaluate(fam, m19, f_spec, -1, p=p).to_json_dict() for f_spec, p in cases]
+    calls = []
+    real = criteria.effect_moments
+    monkeypatch.setattr(criteria, "effect_moments",
+                        lambda family, a: calls.append(1) or real(family, a))
+    reports = evaluate_sweep(fam, m19, -1, cases)
+    assert len(calls) == m19.s * m19.t
+    assert [rep.to_json_dict() for rep in reports] == expected
+
+
+def test_dense_evaluate_decomposes_once(m19, monkeypatch):
+    """QFI, WYD and variance on one dense state share one eigendecomposition."""
+    calls = []
+    real = linalg.hermitian_eig
+    monkeypatch.setattr(linalg, "hermitian_eig", lambda h: calls.append(1) or real(h))
+    rho = materialize_dense(ghz_qudit(3, 3), 0.6)
+    for f_spec in (QFI, WYD_HALF, None):
+        evaluate(rho, m19, f_spec, k=-1)
+    assert len(calls) == 1
 
 
 def test_skew_none_skips_criterion(m19):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_density, random_hermitian, random_pure
 from kstretch.infoquant import (
@@ -153,3 +154,38 @@ def test_dimension_mismatch(m14, rng):
         criterion_lhs_dense(rho, m14, VARIANCE)
     with pytest.raises(ValueError):
         skew_information(rho, random_hermitian(rng, 2), QFI)
+
+
+def _random_state(kind: str, dim: int, rng) -> np.ndarray:
+    """Pure, rank-r, noisy-isotropic, maximally mixed or full-rank entries."""
+    if kind == "mixed":
+        return np.eye(dim) / dim
+    if kind == "full":
+        return random_density(rng, dim)
+    vecs = [random_pure(rng, dim) for _ in range(int(rng.integers(2, min(4, dim) + 1)))]
+    pure = np.outer(vecs[0], vecs[0].conj())
+    if kind == "pure":
+        return pure
+    if kind == "isotropic":
+        p = rng.uniform()
+        return p * pure + (1 - p) / dim * np.eye(dim)
+    weights = rng.dirichlet(np.ones(len(vecs)))
+    return sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3]), n=st.integers(1, 4),
+       kind=st.sampled_from(["pure", "rank", "isotropic", "mixed", "full"]),
+       omega=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_dense_lhs_matches_operator_oracle(m14, m19, d, n, kind, omega, seed):
+    """The site-local dense LHS equals the per-effect sum of skew
+    information and variance of the dense collective operators."""
+    m = m14 if d == 2 else m19
+    rho = DensityMatrix((d,) * n, _random_state(kind, d**n, np.random.default_rng(seed)))
+    bigs = [collective_operator(a, n) for a in m.iter_effects()]
+    for spec in (QFI, MonotoneFunctionSpec("wyd", omega)):
+        oracle = sum(skew_information(rho, big, spec) for big in bigs)
+        assert abs(criterion_lhs_dense(rho, m, spec) - oracle) <= 1e-10, spec
+    oracle = sum(variance(rho, big) for big in bigs)
+    assert abs(criterion_lhs_dense(rho, m, VARIANCE) - oracle) <= 1e-10

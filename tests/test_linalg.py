@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, random_pure
 from kstretch.linalg import (
     DensityMatrix,
     check_hermitian,
@@ -39,6 +39,34 @@ def test_density_matrix_validation():
     rho = DensityMatrix((2, 3), np.eye(6) / 6)
     assert rho.dim == 6 and rho.n_sites == 2
     assert rho.purity() == pytest.approx(1 / 6)
+
+
+def test_psd_validation_boundary(rng):
+    """The Cholesky test keeps the rule: min eigenvalue >= -1e-9 passes."""
+    u = np.linalg.qr(random_hermitian(rng, 4) + 1j * np.eye(4))[0]
+    for min_eig, ok in ((-0.5e-9, True), (-2e-9, False)):
+        entries = u @ np.diag([min_eig, 0.2, 0.3, 0.5 - min_eig]) @ u.conj().T
+        if ok:
+            DensityMatrix((2, 2), entries)
+        else:
+            with pytest.raises(ValueError, match=r"positive semidefinite "
+                               r"\(min eigenvalue -2\.000e-09\)"):
+                DensityMatrix((2, 2), entries)
+    # a rank-3 state at D=729: 726 zero eigenvalues, accepted
+    vecs = [random_pure(rng, 729) for _ in range(3)]
+    rank3 = sum(w * np.outer(v, v.conj()) for w, v in zip((0.5, 0.3, 0.2), vecs))
+    assert DensityMatrix((3,) * 6, rank3).dim == 729
+
+
+def test_entries_read_only_and_spectrum_cached(rng):
+    source = random_density(rng, 4)
+    rho = DensityMatrix((2, 2), source)
+    with pytest.raises(ValueError):
+        rho.entries[0, 0] = 1.0
+    assert source.flags.writeable  # the caller's array is left alone
+    assert rho.spectrum is rho.spectrum
+    evals, evecs = rho.spectrum
+    assert np.max(np.abs(evecs @ np.diag(evals) @ evecs.conj().T - source)) < 1e-12
 
 
 def test_hermitian_eig_ascending(rng):

@@ -105,10 +105,12 @@ def test_custom_state_validation(rng):
         custom_state([2, 2], np.ones(4))  # not normalized
 
 
-def test_effect_moments_fast_vs_dense(m19):
-    """Closed-form family moments agree with explicit expectation values."""
+def test_effect_moments_fast_vs_dense(m19, rng):
+    """Closed-form and site-local family moments agree with explicit
+    expectation values of the dense collective operator."""
     from kstretch.infoquant import collective_operator
-    for fam in (ghz_qudit(3, 3), antisymmetric_state(3)):
+    custom = custom_state([3, 3, 3], random_pure(rng, 27))
+    for fam in (ghz_qudit(3, 3), antisymmetric_state(3), custom):
         vec = state_vector(fam)
         for a in m19.iter_effects():
             big = collective_operator(a, fam.n)
