@@ -144,21 +144,21 @@ def cmd_povm(ctx, d, s, t, r, output, config):
     except (InformationalCompletenessError, PositivityError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    click.echo(f"(s,t)-POVM d={d} s={s} t={t} r={fmt(m.r)} chi={fmt(m.chi)}")
-    click.echo(f"r range: [{fmt(r_neg)}, {fmt(r_pos)}]")
-    click.echo("certification:")
+    lines = [f"(s,t)-POVM d={d} s={s} t={t} r={fmt(m.r)} chi={fmt(m.chi)}",
+             f"r range: [{fmt(r_neg)}, {fmt(r_pos)}]", "certification:"]
     failed = False
     res = certification_residuals(m)
     for key, val in res.items():
         ok = val >= -1e-10 if key == "min_effect_eigenvalue" else val <= 1e-10
         failed |= not ok
-        click.echo(f"  {key:24s} {fmt(val):>18s}  {'pass' if ok else 'FAIL'}")
+        lines.append(f"  {key:24s} {fmt(val):>18s}  {'pass' if ok else 'FAIL'}")
     if output:
         doc = m.to_json_dict()
         doc["config"] = _config_echo(ctx.params)
         with open(output, "w") as fh:
             json.dump(doc, fh)
-        click.echo(f"wrote {output}")
+        lines.append(f"wrote {output}")
+    _emit("\n".join(lines) + "\n", None)
     sys.exit(1 if failed else 0)
 
 
@@ -299,28 +299,29 @@ def cmd_partitions(ctx, n, k, d, s, t, r, diagrams, config):
     pr = ctx.params
     n, k = pr["n"], pr["k"]
     parts_list = enumerate_kstretch(n, k)
-    click.echo(f"# config = {json.dumps(_config_echo(pr))}")
-    click.echo(f"{len(parts_list)} {k}-stretchable partition(s) of {n}")
+    lines = [f"# config = {json.dumps(_config_echo(pr))}",
+             f"{len(parts_list)} {k}-stretchable partition(s) of {n}"]
     if not parts_list:
+        _emit("\n".join(lines) + "\n", None)
         sys.exit(0)
     m_enum = max(sum(size * size for size in parts) for parts in parts_list)
     m_closed = closed_form_m(n, min(k, n - 1))
     agreement = ("n/a" if m_closed is None
                  else "agree" if m_closed == m_enum else "DISAGREE")
-    click.echo(f"max sum of squared block sizes (enumeration): {m_enum}")
-    click.echo(f"closed-form bracket: {m_closed if m_closed is not None else 'n/a'}"
-               f" ({agreement})")
+    lines.append(f"max sum of squared block sizes (enumeration): {m_enum}")
+    lines.append(f"closed-form bracket: {m_closed if m_closed is not None else 'n/a'}"
+                 f" ({agreement})")
     try:
         m = _build_measurement(pr["d"], pr["s"], pr["t"], pr["r"])
         inputs = BoundInputs.from_measurement(m, n, min(k, n - 1))
-        click.echo(f"I bound: {fmt(bound_i(inputs))}")
-        click.echo(f"V bound: {fmt(bound_v(inputs))}")
+        lines.append(f"I bound: {fmt(bound_i(inputs))}")
+        lines.append(f"V bound: {fmt(bound_v(inputs))}")
     except (InformationalCompletenessError, PositivityError, ValueError) as exc:
-        click.echo(f"bounds unavailable: {exc}")
+        lines.append(f"bounds unavailable: {exc}")
     if pr["diagrams"]:
         for parts in parts_list:
-            click.echo("")
-            click.echo(young_diagram(parts))
+            lines += ["", young_diagram(parts)]
+    _emit("\n".join(lines) + "\n", None)
     sys.exit(0)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .infoquant import (
     VARIANCE,
+    CollectiveMoments,
     MonotoneFunctionSpec,
     collective_operator,
     criterion_lhs_dense,
@@ -82,6 +83,12 @@ def _bounds(m: SymmetricMeasurement, n: int, k: int) -> tuple[float, float]:
     return bound_i(inputs), bound_v(inputs)
 
 
+def _moments(family: IsotropicFamily, m: SymmetricMeasurement) -> CollectiveMoments:
+    if family.d != m.d:
+        raise ValueError(f"state dimension {family.d} != measurement dimension {m.d}")
+    return effect_moments(family)
+
+
 def _reports(m: SymmetricMeasurement, n: int, k: int, cases,
              lhs: Callable[[Quantity, Optional[float]], float]) -> list[CriterionReport]:
     """One report per (f_spec, p) in `cases`; lhs(quantity, p) is the LHS."""
@@ -122,13 +129,11 @@ def evaluate_sweep(family: IsotropicFamily, m: SymmetricMeasurement, k: int,
                    cases: Sequence[tuple[Optional[MonotoneFunctionSpec], float]]
                    ) -> list[CriterionReport]:
     """Both inequalities on p |psi><psi| + (1-p)/D for each (f_spec, p) in
-    `cases`, in order; effect moments and bounds are computed once."""
+    `cases`, in order; generator moments and bounds are computed once."""
     n, d = family.n, family.d
-    if d != m.d:
-        raise ValueError(f"state dimension {d} != measurement dimension {m.d}")
-    moments = [effect_moments(family, a) for a in m.iter_effects()]
-    return _reports(m, n, k, cases,
-                    lambda quantity, p: criterion_lhs_isotropic(moments, p, d, n, quantity))
+    moments = _moments(family, m)
+    return _reports(m, n, k, cases, lambda quantity, p: criterion_lhs_isotropic(
+        moments, m.beta, p, d, n, quantity))
 
 
 def threshold_p(family: IsotropicFamily, m: SymmetricMeasurement,
@@ -142,11 +147,11 @@ def threshold_p(family: IsotropicFamily, m: SymmetricMeasurement,
     the verification grid.
     """
     n, d = family.n, family.d
-    moments = [effect_moments(family, a) for a in m.iter_effects()]
+    moments = _moments(family, m)
     i_bd, v_bd = _bounds(m, n, k)
 
     def violated(p: float) -> bool:
-        lhs = criterion_lhs_isotropic(moments, p, d, n, quantity)
+        lhs = criterion_lhs_isotropic(moments, m.beta, p, d, n, quantity)
         if quantity == VARIANCE:
             return lhs < v_bd - VERDICT_MARGIN
         return lhs > i_bd + VERDICT_MARGIN

@@ -1,13 +1,13 @@
 """Operator monotone functions, skew information, variance, and the
 collective-observable left-hand sides of the detection inequalities.
 
-Two evaluation paths exist for the criteria: a dense path that applies
-each effect site by site to the eigenvectors of one cached
-eigendecomposition (feasible up to total dimension ~2500; the dense
-collective operators remain only as test oracles), and an exact fast path
-for isotropic mixtures p |psi><psi| + (1-p)/D, whose two-level spectrum
-reduces the spectral sum to pure-state moments.
-"""
+Every (s,t)-POVM is a conical 2-design, sum_uv A (x) A = alpha 1 + beta SWAP,
+so each left-hand side is beta times the same sum over the d^2 - 1
+collective Gell-Mann generators G_a.  Two paths evaluate it: a dense path
+that applies each G_a site by site to the eigenvectors of one cached
+eigendecomposition (up to total dimension ~2500; the dense collective
+operators remain as test oracles), and an exact isotropic path for
+p |psi><psi| + (1-p)/D that needs only the generator moments of |psi>."""
 
 from __future__ import annotations
 
@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import gell_mann_basis
 from .linalg import (
     DensityMatrix,
     EIG_ZERO_TOL,
     check_hermitian,
     embed_site,
-    kron,
 )
 
 DENSE_DIM_LIMIT = 2500
@@ -54,24 +54,6 @@ class MonotoneFunctionSpec:
 
 QFI = MonotoneFunctionSpec("qfi")
 WYD_HALF = MonotoneFunctionSpec("wyd", 0.5)
-
-
-def f_eval(spec: MonotoneFunctionSpec, x: float) -> float:
-    """Evaluate the monotone function at x >= 0 (limit value at x=1)."""
-    if x < 0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    if spec.family == "qfi":
-        return (1.0 + x) / 2.0
-    w = spec.omega
-    if abs(x - 1.0) < 1e-9:
-        return 1.0
-    if x == 0.0:
-        return w * (1 - w)
-    return w * (1 - w) * (x - 1) ** 2 / ((x**w - 1) * (x ** (1 - w) - 1))
-
-
-def f_zero(spec: MonotoneFunctionSpec) -> float:
-    return f_eval(spec, 0.0)
 
 
 def _weight_matrix(rows: np.ndarray, cols: np.ndarray,
@@ -143,46 +125,37 @@ def variance(rho: DensityMatrix, x: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CollectiveMoments:
-    """Pure-state and trace moments of a collective observable
-    A_1 + ... + A_n built from one single-site effect."""
+    """Moments of the collective generators G_a = g_a^(1) + ... + g_a^(n),
+    g_a the d^2 - 1 orthonormal Gell-Mann operators, on a pure state |psi>."""
 
-    mean: float           # <psi| A |psi>
-    second_moment: float  # <psi| A^2 |psi>
-    trace_op: float       # Tr A / D, normalized so large n cannot overflow
-    trace_op_sq: float    # Tr A^2 / D
+    s1: float  # sum_a <psi| G_a |psi>^2
+    s2: float  # sum_a <psi| G_a^2 |psi>
 
     @property
     def pure_variance(self) -> float:
-        return self.second_moment - self.mean**2
+        """F_psi = sum_a Var_psi(G_a)."""
+        return self.s2 - self.s1
 
 
 def collective_moments_from_rdms(rho1: DensityMatrix, rho2: DensityMatrix,
-                                 a: np.ndarray, n: int) -> CollectiveMoments:
-    """Moments of the collective operator from 1- and 2-party reduced states.
+                                 n: int) -> CollectiveMoments:
+    """Generator moments from 1- and 2-party reduced states, through
+    sum_a g_a (x) g_a = SWAP - 1/d:  s1 = n^2 (Tr rho1^2 - 1/d) and
+    s2 = n (d - 1/d) + n (n-1) (Tr rho2 SWAP - 1/d).
 
     Valid for states whose 1- and 2-party reduced density matrices are
     site-independent (permutation invariance up to sign).
     """
-    a = check_hermitian(a)
-    d = a.shape[0]
-    if rho1.dim != d:
-        raise ValueError("1-party reduced state dimension mismatch")
-    if n > 1 and rho2.dim != d * d:
-        raise ValueError("2-party reduced state dimension mismatch")
-    mean = n * np.trace(a @ rho1.entries).real
-    second = n * np.trace(a @ a @ rho1.entries).real
+    d = rho1.dim
+    # Tr rho1^2 - 1/d as ||rho1 - 1/d||^2: never negative, exactly 0 at 1/d
+    s1 = n * n * float(np.sum(np.abs(rho1.entries - np.eye(d) / d) ** 2))
+    s2 = n * (d - 1 / d)
     if n > 1:
-        second += n * (n - 1) * np.trace(kron(a, a) @ rho2.entries).real
-    return CollectiveMoments(float(mean), float(second), *_collective_traces(a, n))
-
-
-def _collective_traces(a: np.ndarray, n: int) -> tuple[float, float]:
-    """Tr A / D and Tr A^2 / D of A = A_1 + ... + A_n from single-site
-    traces over d: the D-normalized moments need no d**n."""
-    d = a.shape[0]
-    tr_a = np.trace(a).real / d
-    tr_a2 = np.trace(a @ a).real / d
-    return float(n * tr_a), float(n * tr_a2 + n * (n - 1) * tr_a**2)
+        if rho2.dim != d * d:
+            raise ValueError("2-party reduced state dimension mismatch")
+        swap_mean = np.einsum("ijji->", rho2.entries.reshape(d, d, d, d)).real
+        s2 += n * (n - 1) * (swap_mean - 1 / d)
+    return CollectiveMoments(s1, float(s2))
 
 
 def _apply_collective(a: np.ndarray, n: int, vecs: np.ndarray) -> np.ndarray:
@@ -208,11 +181,13 @@ def collective_operator(a: np.ndarray, n: int) -> np.ndarray:
 
 def criterion_lhs_dense(rho: DensityMatrix, m, quantity) -> float:
     """Sum over all effects of the chosen quantity (a MonotoneFunctionSpec
-    or VARIANCE) for the collective operators A = A_1 + ... + A_n.  With the
-    state's cached rho = c 1 + sum_R (lam_k - c) |v_k><v_k| (_spectral_split),
-    A acts site by site on v_k, k in R, only: the skew sum takes the rows
-    (A V_R)^dagger V, the variance Tr rho A^j = c Tr A^j + sum_R (lam_k - c)
-    <v_k|A^j|v_k>, j = 1, 2."""
+    or VARIANCE) for the collective effects, as beta times the sum over the
+    collective generators G_a (the alpha part of the design meets only equal
+    eigenvalues, which weigh 0).  With the state's cached rho = c 1 +
+    sum_R (lam_k - c) |v_k><v_k| (_spectral_split), G acts site by site on
+    v_k, k in R, only: the skew sum takes the rows (G V_R)^dagger V, the
+    variance Tr rho G^j = c Tr G^j + sum_R (lam_k - c) <v_k|G^j|v_k>, with
+    Tr G = 0 and Tr G^2 = n D / d."""
     dims = set(rho.site_dims)
     if dims != {m.d}:
         raise ValueError(f"site dimensions {rho.site_dims} incompatible with d={m.d}")
@@ -224,37 +199,34 @@ def criterion_lhs_dense(rho: DensityMatrix, m, quantity) -> float:
     evals, evecs = rho.spectrum
     lam, c, flat = _spectral_split(evals)
     v_rest = np.ascontiguousarray(evecs[:, ~flat])
+    generators = gell_mann_basis(m.d).ops
     total = 0.0
     if quantity == VARIANCE:
         shift = evals[~flat] - c
-        for a in m.iter_effects():
-            av = _apply_collective(a, n, v_rest)
-            tr_a, tr_a2 = _collective_traces(a, n)
-            mean = c * rho.dim * tr_a + shift @ np.sum(v_rest.conj() * av, axis=0).real
-            second = c * rho.dim * tr_a2 + shift @ np.sum(np.abs(av) ** 2, axis=0)
+        for g in generators:
+            gv = _apply_collective(g, n, v_rest)
+            mean = shift @ np.sum(v_rest.conj() * gv, axis=0).real
+            second = c * rho.dim * n / m.d + shift @ np.sum(np.abs(gv) ** 2, axis=0)
             total += float(second - mean**2)
-        return total
+        return m.beta * total
     weights = _skew_weights(lam, flat, quantity)
-    for a in m.iter_effects():
-        x_rest = _apply_collective(a, n, v_rest).conj().T @ evecs
+    for g in generators:
+        x_rest = _apply_collective(g, n, v_rest).conj().T @ evecs
         total += float(np.sum(weights * np.abs(x_rest) ** 2))
-    return total
+    return m.beta * total
 
 
-def criterion_lhs_isotropic(moments: list[CollectiveMoments], p: float,
+def criterion_lhs_isotropic(moments: CollectiveMoments, beta: float, p: float,
                             d: int, n: int, quantity) -> float:
-    """Exact LHS for rho(p) = p |psi><psi| + (1-p)/D using the two-level
-    spectrum {p + (1-p)/D, (1-p)/D (x D-1)}."""
+    """Exact LHS for rho(p) = p |psi><psi| + (1-p)/D: beta times the
+    variance sum p s2 + (1-p)(d^2-1) n/d - p^2 s1 of the generators, or
+    beta F_psi times the skew weight of the two-level spectrum
+    {p + (1-p)/D, (1-p)/D (x D-1)}."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if quantity == VARIANCE:
-        total = 0.0
-        for mom in moments:
-            second = p * mom.second_moment + (1 - p) * mom.trace_op_sq
-            mean = p * mom.mean + (1 - p) * mom.trace_op
-            total += second - mean**2
-        return total
+        return beta * (p * moments.s2 + (1 - p) * (d * d - 1) * n / d - p * p * moments.s1)
     levels = np.array([p, 0.0]) + (1 - p) * float(d) ** -n
     weights = _weight_matrix(levels, levels, quantity)
     factor = weights[0, 1] + weights[1, 0]
-    return factor * sum(mom.pure_variance for mom in moments)
+    return factor * beta * moments.pure_variance

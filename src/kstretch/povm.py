@@ -79,6 +79,12 @@ class SymmetricMeasurement:
     def __post_init__(self):
         _certify_or_raise(self)
 
+    @property
+    def beta(self) -> float:
+        """SWAP weight r^2 t (sqrt(t)+1)^2 of the certified conical 2-design
+        sum_uv A (x) A = (s/t - beta/d) 1 + beta SWAP."""
+        return self.r**2 * self.t * (np.sqrt(self.t) + 1) ** 2
+
     def effect(self, u: int, v: int) -> np.ndarray:
         """Effect A^(uv) for u in 1..s, v in 1..t."""
         return self.effects[u - 1][v - 1]
@@ -180,7 +186,12 @@ def certification_residuals(m: SymmetricMeasurement) -> dict[str, float]:
                                         where=same_u & off_diag, initial=0.0))
     res["cross_measurement"] = float(np.max(np.abs(gram - d / t**2),
                                             where=~same_u, initial=0.0))
-    res["square_sum"] = verify_square_sum(m)
+    # flat.T @ flat holds sum_uv A_ik A_jl: the design sum indexed (ik),(jl),
+    # where 1 (x) 1 is vec(1) vec(1)^T and SWAP is the same index swap
+    alpha = s / t - m.beta / d
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    res["conical_design"] = float(np.max(np.abs(
+        flat.T @ flat - alpha * np.outer(eye, eye) - m.beta * swap)))
     res["chi_consistency"] = abs(chi - chi_of_r(d, t, m.r))
     return res
 
@@ -209,13 +220,14 @@ def _certify_or_raise(m: SymmetricMeasurement) -> None:
     if res["completeness"] > COMPLETENESS_TOL:
         raise ConstructionError(f"effects do not sum to identity: {res['completeness']:.3e}")
     for key in ("trace", "purity", "cross_outcome", "cross_measurement",
-                "square_sum", "chi_consistency"):
+                "conical_design", "chi_consistency"):
         if res[key] > SYMMETRY_TOL:
             raise ConstructionError(f"symmetry identity '{key}' fails: {res[key]:.3e}")
 
 
 def square_sum_scalar(d: int, s: int, t: int, r: float) -> float:
-    """Scalar c with sum over (u,v) of A^2 = c * identity."""
+    """Scalar c with sum over (u,v) of A^2 = c * identity (a test oracle:
+    the conical-design residual implies it, with c = alpha + beta d)."""
     return s / t + r**2 * t * (np.sqrt(t) + 1) ** 2 * (d - 1 / d)
 
 

@@ -1,10 +1,12 @@
-"""Benchmark state families and their exact reduced density matrices.
+"""Benchmark state families and their collective generator moments.
 
 Each family describes a pure state |psi> to be mixed with white noise,
-rho(p) = p |psi><psi| + (1-p)/D.  The 1- and 2-party reduced states are
-known in closed form for the built-in families, which is the only data
-the large-N fast path needs; they are certified against the
-partial-trace oracle at dense-feasible sizes in the test suite.
+rho(p) = p |psi><psi| + (1-p)/D.  The criteria need of |psi> only the two
+generator moments (s1, s2) of `effect_moments`.  For the built-in
+families they follow from the 1- and 2-party reduced states, known in
+closed form and certified against the partial-trace oracle at
+dense-feasible sizes in the test suite; custom states apply the
+generators to the state vector.
 """
 
 from __future__ import annotations
@@ -17,19 +19,21 @@ from typing import Optional
 
 import numpy as np
 
+from .basis import gell_mann_basis
 from .infoquant import DENSE_DIM_LIMIT, CollectiveMoments, DenseSizeError, \
-    _apply_collective, _collective_traces, collective_moments_from_rdms
-from .linalg import DensityMatrix, check_hermitian, partial_trace
+    _apply_collective, collective_moments_from_rdms
+from .linalg import DensityMatrix
 
 
 @dataclass(frozen=True)
 class IsotropicFamily:
-    """A pure state plus the reduced-state data for isotropic mixtures."""
+    """A pure state plus the data its generator moments come from: the
+    reduced states of a built-in family, or the amplitudes of a custom one."""
 
     kind: str  # "ghz" | "antisym" | "custom"
     d: int
     n: int
-    rdm1: DensityMatrix
+    rdm1: Optional[DensityMatrix]
     rdm2: Optional[DensityMatrix]
     amplitudes: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -77,7 +81,7 @@ def antisymmetric_state(n: int) -> IsotropicFamily:
 
 
 def custom_state(site_dims: list[int], amplitudes: np.ndarray) -> IsotropicFamily:
-    """A user-supplied pure state; reduced states come from partial traces,
+    """A user-supplied pure state; its moments come from the state vector,
     so the family is restricted to dense-feasible uniform-dimension systems."""
     dims = tuple(int(x) for x in site_dims)
     if len(set(dims)) != 1:
@@ -93,10 +97,7 @@ def custom_state(site_dims: list[int], amplitudes: np.ndarray) -> IsotropicFamil
     norm = np.linalg.norm(vec)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"state vector norm is {norm}, expected 1")
-    projector = DensityMatrix(dims, np.outer(vec, vec.conj()))
-    rdm1 = partial_trace(projector, {0})
-    rdm2 = partial_trace(projector, {0, 1}) if n > 1 else None
-    return IsotropicFamily("custom", d, n, rdm1, rdm2, amplitudes=vec)
+    return IsotropicFamily("custom", d, n, None, None, amplitudes=vec)
 
 
 def load_state_file(path) -> IsotropicFamily:
@@ -142,13 +143,14 @@ def materialize_dense(family: IsotropicFamily, p: float) -> DensityMatrix:
     return DensityMatrix((family.d,) * family.n, entries)
 
 
-def effect_moments(family: IsotropicFamily, a: np.ndarray) -> CollectiveMoments:
-    """Collective moments of one single-site effect for this family's |psi>."""
-    if family.kind in ("ghz", "antisym"):
-        return collective_moments_from_rdms(family.rdm1, family.rdm2, a, family.n)
-    a = check_hermitian(a)
-    vec = state_vector(family)
-    a_vec = _apply_collective(a, family.n, vec)
-    return CollectiveMoments(float(np.vdot(vec, a_vec).real),
-                             float(np.vdot(a_vec, a_vec).real),
-                             *_collective_traces(a, family.n))
+def effect_moments(family: IsotropicFamily) -> CollectiveMoments:
+    """Generator moments (s1, s2) of this family's |psi>."""
+    if family.kind != "custom":
+        return collective_moments_from_rdms(family.rdm1, family.rdm2, family.n)
+    vec = family.amplitudes
+    s1 = s2 = 0.0
+    for g in gell_mann_basis(family.d).ops:
+        g_vec = _apply_collective(g, family.n, vec)
+        s1 += np.vdot(vec, g_vec).real ** 2
+        s2 += np.vdot(g_vec, g_vec).real
+    return CollectiveMoments(float(s1), float(s2))

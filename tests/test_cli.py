@@ -100,13 +100,22 @@ def test_criteria_deterministic(runner):
     assert out1 == out2
 
 
-def test_output_stream_not_retained():
+STREAM_CALLS = {
+    "criteria": (["criteria", "--family", "ghz", "--d", "2", "--n", "3", "--k", "0",
+                  "--s", "1", "--t", "4", "--p", "0.5"], "# config"),
+    "povm": (["povm", "--d", "2", "--s", "1", "--t", "4"], "(s,t)-POVM"),
+    "partitions": (["partitions", "--n", "4", "--k", "0", "--diagrams"], "# config"),
+}
+
+
+@pytest.mark.parametrize("command", list(STREAM_CALLS))
+def test_output_stream_not_retained(command):
     """An in-process call keeps no reference to the stdout it wrote to."""
+    args, prefix = STREAM_CALLS[command]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
-        main(["criteria", "--family", "ghz", "--d", "2", "--n", "3", "--k", "0",
-              "--s", "1", "--t", "4", "--p", "0.5"], standalone_mode=False)
-    assert out.getvalue().startswith("# config")
+        main(args, standalone_mode=False)
+    assert out.getvalue().startswith(prefix)
     ref = weakref.ref(out)
     del out
     gc.collect()

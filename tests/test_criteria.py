@@ -53,16 +53,16 @@ def test_evaluate_dimension_mismatch(m19):
 
 
 def test_evaluate_sweep_computes_moments_once(m19, monkeypatch):
-    """A sweep computes each effect's moments once and matches evaluate row by row."""
+    """A sweep computes the state's moments once and matches evaluate row by row."""
     fam = ghz_qudit(3, 4)
     cases = [(f_spec, p) for p in (0.0, 0.45, 1.0) for f_spec in (QFI, WYD_HALF, None)]
     expected = [evaluate(fam, m19, f_spec, -1, p=p).to_json_dict() for f_spec, p in cases]
     calls = []
     real = criteria.effect_moments
     monkeypatch.setattr(criteria, "effect_moments",
-                        lambda family, a: calls.append(1) or real(family, a))
+                        lambda family: calls.append(1) or real(family))
     reports = evaluate_sweep(fam, m19, -1, cases)
-    assert len(calls) == m19.s * m19.t
+    assert len(calls) == 1
     assert [rep.to_json_dict() for rep in reports] == expected
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_density, random_hermitian, random_pure
+from kstretch.basis import gell_mann_basis
 from kstretch.infoquant import (
     QFI,
     VARIANCE,
@@ -16,12 +17,12 @@ from kstretch.infoquant import (
     collective_operator,
     criterion_lhs_dense,
     criterion_lhs_isotropic,
-    f_eval,
-    f_zero,
     skew_information,
     variance,
 )
 from kstretch.linalg import DensityMatrix, kron, partial_trace
+from kstretch.povm import build_stpovm
+from kstretch.states import antisymmetric_state, effect_moments, ghz_qudit
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -33,17 +34,6 @@ def test_spec_validation():
         MonotoneFunctionSpec("wyd", 1.0)
     assert QFI.label == "qfi"
     assert WYD_HALF.label == "wyd:0.5"
-
-
-@pytest.mark.parametrize("spec", [QFI, WYD_HALF, MonotoneFunctionSpec("wyd", 0.3)])
-def test_monotone_function_properties(spec):
-    assert f_eval(spec, 1.0) == pytest.approx(1.0)
-    assert f_zero(spec) > 0
-    for x in (0.2, 0.7, 1.8, 5.0):
-        # the symmetry x f(1/x) = f(x)
-        assert x * f_eval(spec, 1 / x) == pytest.approx(f_eval(spec, x), rel=1e-10)
-    with pytest.raises(ValueError):
-        f_eval(spec, -0.1)
 
 
 def test_qubit_frozen_values():
@@ -89,6 +79,13 @@ def test_collective_operator_and_limit(rng):
         collective_operator(random_hermitian(rng, 3), 8)
 
 
+def generator_moments(vec: np.ndarray, d: int, n: int) -> tuple[float, float]:
+    """(sum_a <G_a>^2, sum_a <G_a^2>) from the dense collective generators."""
+    bigs = [collective_operator(g, n) for g in gell_mann_basis(d).ops]
+    return (sum(np.vdot(vec, big @ vec).real ** 2 for big in bigs),
+            sum(np.vdot(big @ vec, big @ vec).real for big in bigs))
+
+
 def test_moments_from_rdms_match_dense(rng):
     d, n = 2, 3
     from itertools import permutations
@@ -100,25 +97,15 @@ def test_moments_from_rdms_match_dense(rng):
     vec_sym = tensor.ravel()
     vec_sym = vec_sym / np.linalg.norm(vec_sym)
     rho = DensityMatrix((d,) * n, np.outer(vec_sym, vec_sym.conj()))
-    rdm1 = partial_trace(rho, {0})
-    rdm2 = partial_trace(rho, {0, 1})
-    a = random_hermitian(rng, d)
-    mom = collective_moments_from_rdms(rdm1, rdm2, a, n)
-    big = collective_operator(a, n)
-    assert mom.mean == pytest.approx(
-        np.real(vec_sym.conj() @ big @ vec_sym), abs=1e-10)
-    assert mom.second_moment == pytest.approx(
-        np.real(vec_sym.conj() @ big @ big @ vec_sym), abs=1e-10)
-    dim = d**n
-    assert mom.trace_op * dim == pytest.approx(np.trace(big).real, abs=1e-10)
-    assert mom.trace_op_sq * dim == pytest.approx(
-        np.trace(big @ big).real, abs=1e-10)
+    mom = collective_moments_from_rdms(partial_trace(rho, {0}),
+                                       partial_trace(rho, {0, 1}), n)
+    s1, s2 = generator_moments(vec_sym, d, n)
+    assert mom.s1 == pytest.approx(s1, abs=1e-10)
+    assert mom.s2 == pytest.approx(s2, abs=1e-10)
 
 
 def test_pure_variance_property():
-    mom = CollectiveMoments(mean=1.5, second_moment=4.0,
-                            trace_op=0.0, trace_op_sq=0.0)
-    assert mom.pure_variance == pytest.approx(4.0 - 2.25)
+    assert CollectiveMoments(s1=1.5, s2=4.0).pure_variance == pytest.approx(2.5)
 
 
 def test_isotropic_path_matches_dense(m14):
@@ -126,26 +113,52 @@ def test_isotropic_path_matches_dense(m14):
     d, n = 2, 2
     dim = d**n
     vec = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-    moments = []
-    for a in m14.iter_effects():
-        big = collective_operator(a, n)
-        moments.append(CollectiveMoments(
-            float(np.real(vec.conj() @ big @ vec)),
-            float(np.real(vec.conj() @ big @ big @ vec)),
-            float(np.trace(big).real) / dim,
-            float(np.trace(big @ big).real) / dim))
+    moments = CollectiveMoments(*generator_moments(vec, d, n))
     for p in (0.0, 0.4, 1.0):
         rho = DensityMatrix((d,) * n,
                             p * np.outer(vec, vec.conj()) + (1 - p) / dim * np.eye(dim))
         for quantity in (QFI, WYD_HALF, VARIANCE):
-            fast = criterion_lhs_isotropic(moments, p, d, n, quantity)
+            fast = criterion_lhs_isotropic(moments, m14.beta, p, d, n, quantity)
             dense = criterion_lhs_dense(rho, m14, quantity)
             assert fast == pytest.approx(dense, abs=1e-10), (p, quantity)
 
 
 def test_isotropic_path_rejects_bad_p(m14):
     with pytest.raises(ValueError):
-        criterion_lhs_isotropic([], 1.2, 2, 2, VARIANCE)
+        criterion_lhs_isotropic(CollectiveMoments(0.0, 0.0), m14.beta, 1.2, 2, 2, VARIANCE)
+
+
+def per_effect_variances(m, fam, p: float) -> tuple[float, float]:
+    """Sums over the effects of Var_psi(A) and Var_rho(p)(A), with the
+    collective moments of each A = A_1 + ... + A_n from kron(a, a) @ rho2."""
+    d, n = fam.d, fam.n
+    rho1, rho2 = fam.rdm1.entries, fam.rdm2.entries
+    pure = mixed = 0.0
+    for a in m.iter_effects():
+        mean = n * np.trace(a @ rho1).real
+        second = (n * np.trace(a @ a @ rho1).real
+                  + n * (n - 1) * np.trace(kron(a, a) @ rho2).real)
+        tr_a, tr_a2 = np.trace(a).real / d, np.trace(a @ a).real / d  # Tr a^j / d
+        pure += second - mean**2
+        mixed += (p * second + (1 - p) * (n * tr_a2 + n * (n - 1) * tr_a**2)
+                  - (p * mean + (1 - p) * n * tr_a) ** 2)
+    return pure, mixed
+
+
+@pytest.mark.parametrize("fam,s,t", [(ghz_qudit(3, 50), 1, 9),
+                                     (antisymmetric_state(8), 1, 64)])
+def test_beta_path_matches_per_effect_sum(fam, s, t):
+    """beta times the generator functionals equals the sums over the s t
+    effects: beta F_psi for the pure variance (which the skew LHS scales),
+    and the variance LHS at each p."""
+    m = build_stpovm(gell_mann_basis(fam.d), s, t)
+    moments = effect_moments(fam)
+    pure, scale = per_effect_variances(m, fam, 0.0)
+    assert abs(m.beta * moments.pure_variance - pure) <= 1e-12 * max(abs(pure), scale)
+    for p in (0.0, 0.3, 0.8, 1.0):
+        mixed = per_effect_variances(m, fam, p)[1]
+        got = criterion_lhs_isotropic(moments, m.beta, p, fam.d, fam.n, VARIANCE)
+        assert abs(got - mixed) <= 1e-12 * max(abs(mixed), scale), p
 
 
 def test_dimension_mismatch(m14, rng):

@@ -21,25 +21,21 @@ from kstretch.povm import (
 )
 
 
-def canonical_families(d):
-    """The four constructible families for local dimension d."""
-    fams = [(1, d * d), (d + 1, d), (d * d - 1, 2)]
-    if (d * d - 1) % (d + 1) == 0:  # always true: d^2-1 = (d-1)(d+1)
-        fams.append((d - 1, d + 2))
-    return [f for f in fams if f[0] >= 1 and f[1] >= 2]
+def all_families(d):
+    """Every informationally complete (s,t) family for local dimension d."""
+    return [((d * d - 1) // (t - 1), t) for t in range(2, d * d + 1)
+            if (d * d - 1) % (t - 1) == 0]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_all_families_certify(d):
     basis = gell_mann_basis(d)
-    for s, t in canonical_families(d):
-        if s < 1:
-            continue
+    for s, t in all_families(d):
         m = build_stpovm(basis, s, t)
         res = certification_residuals(m)
         assert res["min_effect_eigenvalue"] > -1e-10
         for key in ("completeness", "trace", "purity", "cross_outcome",
-                    "cross_measurement", "square_sum", "chi_consistency"):
+                    "cross_measurement", "conical_design", "chi_consistency"):
             assert res[key] < 1e-10, (s, t, key, res[key])
 
 
@@ -86,6 +82,31 @@ def test_square_sum_identity(m19, m14):
     c = square_sum_scalar(3, 1, 9, m19.r)
     total = sum(a @ a for a in m19.iter_effects())
     assert np.max(np.abs(total - c * np.eye(3))) < 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_conical_design_residual_matches_kron_sum(d):
+    """The certified residual equals the explicit deviation of
+    sum_uv A (x) A from alpha 1 + beta SWAP, and both vanish."""
+    basis = gell_mann_basis(d)
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    for s, t in all_families(d):
+        m = build_stpovm(basis, s, t)
+        alpha = s / t - m.beta / d
+        total = sum(np.kron(a, a) for a in m.iter_effects())
+        explicit = np.max(np.abs(total - alpha * np.eye(d * d) - m.beta * swap))
+        residual = certification_residuals(m)["conical_design"]
+        assert explicit < 1e-12 and residual < 1e-12, (s, t)
+        assert residual == pytest.approx(explicit, abs=1e-14), (s, t)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_square_sum_scalar_is_alpha_plus_beta_d(d):
+    basis = gell_mann_basis(d)
+    for s, t in all_families(d):
+        m = build_stpovm(basis, s, t)
+        alpha = s / t - m.beta / d
+        assert square_sum_scalar(d, s, t, m.r) == pytest.approx(alpha + m.beta * d, rel=1e-13)
 
 
 def test_probability_square_sum_matches_formula(m19, rng):

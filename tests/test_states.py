@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_pure
 from kstretch.infoquant import DenseSizeError
-from kstretch.linalg import DensityMatrix, partial_trace
+from kstretch.linalg import partial_trace
 from kstretch.states import (
     antisymmetric_state,
     custom_state,
@@ -93,9 +93,7 @@ def test_custom_state_roundtrip(tmp_path, rng):
     fam = load_state_file(path)
     assert fam.kind == "custom" and fam.d == 2 and fam.n == 2
     assert np.max(np.abs(state_vector(fam) - vec)) < 1e-12
-    rho = DensityMatrix((2, 2), np.outer(vec, vec.conj()))
-    assert np.max(np.abs(fam.rdm1.entries
-                         - partial_trace(rho, {0}).entries)) < 1e-12
+    assert fam.rdm1 is None and fam.rdm2 is None
 
 
 def test_custom_state_validation(rng):
@@ -105,44 +103,47 @@ def test_custom_state_validation(rng):
         custom_state([2, 2], np.ones(4))  # not normalized
 
 
-def test_effect_moments_fast_vs_dense(m19, rng):
-    """Closed-form and site-local family moments agree with explicit
-    expectation values of the dense collective operator."""
+def test_effect_moments_fast_vs_dense(rng):
+    """Reduced-state and site-local generator moments agree with explicit
+    expectation values of the dense collective generators."""
+    from kstretch.basis import gell_mann_basis
     from kstretch.infoquant import collective_operator
     custom = custom_state([3, 3, 3], random_pure(rng, 27))
     for fam in (ghz_qudit(3, 3), antisymmetric_state(3), custom):
         vec = state_vector(fam)
-        for a in m19.iter_effects():
-            big = collective_operator(a, fam.n)
-            mom = effect_moments(fam, a)
-            assert mom.mean == pytest.approx(
-                np.real(vec.conj() @ big @ vec), abs=1e-10)
-            assert mom.second_moment == pytest.approx(
-                np.real(vec.conj() @ big @ big @ vec), abs=1e-10)
-            dim = fam.total_dim
-            assert mom.trace_op * dim == pytest.approx(
-                np.trace(big).real, abs=1e-8)
-            assert mom.trace_op_sq * dim == pytest.approx(
-                np.trace(big @ big).real, abs=1e-8)
+        bigs = [collective_operator(g, fam.n) for g in gell_mann_basis(fam.d).ops]
+        mom = effect_moments(fam)
+        assert mom.s1 == pytest.approx(
+            sum(np.vdot(vec, big @ vec).real ** 2 for big in bigs), abs=1e-10)
+        assert mom.s2 == pytest.approx(
+            sum(np.vdot(big @ vec, big @ vec).real for big in bigs), abs=1e-10)
 
 
-def test_antisym_collective_variance_vanishes(m19):
-    """Every collective effect has zero variance on the antisymmetric state."""
-    fam = antisymmetric_state(3)
-    for a in m19.iter_effects():
-        assert effect_moments(fam, a).pure_variance == pytest.approx(0.0, abs=1e-10)
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (3, 3), (3, 50), (4, 7), (3, 10**4),
+                                 (5, 10**4)])
+def test_ghz_generator_variance_closed_form(d, n):
+    """F_psi = (1 - 1/d) N^2 + (d - 1) N for GHZ, up to N = 10^4."""
+    expected = (1 - 1 / d) * n**2 + (d - 1) * n
+    assert effect_moments(ghz_qudit(d, n)).pure_variance == pytest.approx(expected, rel=1e-13)
+
+
+def test_antisym_collective_variance_vanishes():
+    """Every collective generator has zero mean and zero variance on the
+    antisymmetric state: F_psi = s1 = 0."""
+    for n in (2, 3, 4, 8, 20):
+        mom = effect_moments(antisymmetric_state(n))
+        assert mom.s1 == 0.0
+        assert mom.pure_variance == pytest.approx(0.0, abs=1e-12), n
 
 
 def test_effect_moments_finite_at_large_n(m19):
-    """Normalized trace moments stay finite where 3**N overflows a float."""
+    """The isotropic LHS stays finite where 3**N overflows a float."""
     from kstretch.infoquant import QFI, VARIANCE, criterion_lhs_isotropic
     fam = ghz_qudit(3, 700)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        moments = [effect_moments(fam, a) for a in m19.iter_effects()]
-        lhs = [criterion_lhs_isotropic(moments, 0.5, 3, 700, q)
+        moments = effect_moments(fam)
+        lhs = [criterion_lhs_isotropic(moments, m19.beta, 0.5, 3, 700, q)
                for q in (QFI, VARIANCE)]
-    for mom in moments:
-        assert np.all(np.isfinite([mom.mean, mom.second_moment,
-                                   mom.trace_op, mom.trace_op_sq]))
+    assert np.all(np.isfinite([moments.s1, moments.s2]))
     assert np.all(np.isfinite(lhs))
