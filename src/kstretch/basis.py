@@ -80,8 +80,11 @@ def group_basis(basis: OperatorBasis, s: int, t: int) -> OperatorBasis:
     if s < 1 or t < 2:
         raise InformationalCompletenessError(f"invalid family (s={s}, t={t})")
     if s * (t - 1) != d * d - 1:
+        admissible = ", ".join(f"({(d * d - 1) // (k - 1)},{k})"
+                               for k in range(2, d * d + 1) if (d * d - 1) % (k - 1) == 0)
         raise InformationalCompletenessError(
-            f"s(t-1) = {s * (t - 1)} != d^2 - 1 = {d * d - 1} for d={d}"
+            f"s(t-1) = {s * (t - 1)} != d^2 - 1 = {d * d - 1} for d={d}; "
+            f"admissible (s,t) for d={d}: {admissible}"
         )
     grouping = {
         (u, v): (u - 1) * (t - 1) + (v - 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 import click
 import numpy as np
@@ -30,8 +30,7 @@ from .partitions import (
     enumerate_kstretch,
     young_diagram,
 )
-from .povm import PositivityError, build_stpovm, certification_residuals, r_range, \
-    build_b_operators
+from .povm import PositivityError, build_stpovm
 from .states import antisymmetric_state, ghz_qudit, load_state_file
 
 CSV_HEADER = ("N,k,d,s,t,r,f,p,lhs_skew,i_bound,violated_skew,"
@@ -115,6 +114,11 @@ def _emit(text: str, output: Optional[str]) -> None:
         click.echo(text, nl=False, file=sys.stdout)
 
 
+def _fail(message: object) -> NoReturn:
+    click.echo(f"error: {message}", file=sys.stderr)  # as in _emit, for stderr
+    sys.exit(1)
+
+
 @click.group()
 def main():
     """Symmetric-measurement construction and k-nonstretchability detection."""
@@ -135,28 +139,20 @@ def cmd_povm(ctx, d, s, t, r, output, config):
     d, s, t, r = ctx.params["d"], ctx.params["s"], ctx.params["t"], ctx.params["r"]
     output = ctx.params["output"]
     try:
-        basis = gell_mann_basis(d)
-        from .basis import group_basis
-        grouped = group_basis(basis, s, t)
-        b_ops = build_b_operators(grouped)
-        r_neg, r_pos = r_range(b_ops)
         m = _build_measurement(d, s, t, r)
     except (InformationalCompletenessError, PositivityError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(exc)
+    r_neg, r_pos = m.r_bounds
     lines = [f"(s,t)-POVM d={d} s={s} t={t} r={fmt(m.r)} chi={fmt(m.chi)}",
              f"r range: [{fmt(r_neg)}, {fmt(r_pos)}]", "certification:"]
     failed = False
-    res = certification_residuals(m)
-    for key, val in res.items():
+    for key, val in m.residuals.items():
         ok = val >= -1e-10 if key == "min_effect_eigenvalue" else val <= 1e-10
         failed |= not ok
         lines.append(f"  {key:24s} {fmt(val):>18s}  {'pass' if ok else 'FAIL'}")
     if output:
-        doc = m.to_json_dict()
-        doc["config"] = _config_echo(ctx.params)
-        with open(output, "w") as fh:
-            json.dump(doc, fh)
+        _emit(m.to_json(config=_config_echo(ctx.params), certification=m.residuals),
+              output)
         lines.append(f"wrote {output}")
     _emit("\n".join(lines) + "\n", None)
     sys.exit(1 if failed else 0)
@@ -201,8 +197,7 @@ def cmd_criteria(ctx, family, state_file, d, n, k, s, t, r, p, p_range, f_choice
         quantities = parse_f(pr["f_choice"])
         p_values = _p_values(pr["p"], pr["p_range"])
     except (InformationalCompletenessError, PositivityError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(exc)
     reports = evaluate_sweep(fam, m, pr["k"], [
         (None if quantity == VARIANCE else quantity, p_val)
         for p_val in p_values for quantity in quantities
@@ -249,11 +244,14 @@ def cmd_threshold(ctx, family, state_file, d, n, k, s, t, r, f_choice,
     _apply_config(ctx, config)
     pr = ctx.params
     rows = []
+    measurements = {}  # one per local dimension: antisym has d = N
     try:
         quantities = parse_f(pr["f_choice"])
         for n_val in sorted(pr["n"]):
             fam = _family(pr["family"], pr["d"], n_val, pr["state_file"])
-            m = _build_measurement(fam.d, pr["s"], pr["t"], pr["r"])
+            if fam.d not in measurements:
+                measurements[fam.d] = _build_measurement(fam.d, pr["s"], pr["t"], pr["r"])
+            m = measurements[fam.d]
             k_val = pr["k"] if pr["k"] is not None else 3 - n_val
             for quantity in quantities:
                 label = VARIANCE if quantity == VARIANCE else quantity.label
@@ -261,11 +259,9 @@ def cmd_threshold(ctx, family, state_file, d, n, k, s, t, r, f_choice,
                 p_star = threshold_p(fam, m, quantity, k_val)
                 rows.append((n_val, k_val, label, criterion, p_star))
     except NonMonotoneIndicatorError as exc:
-        click.echo(f"error: {exc}; grid = {exc.grid}", err=True)
-        sys.exit(1)
+        _fail(f"{exc}; grid = {exc.grid}")
     except (InformationalCompletenessError, PositivityError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(exc)
     cfg = _config_echo(pr)
     if pr["out_format"] == "json":
         text = json.dumps({

@@ -4,7 +4,8 @@ A measurement is built from a grouped operator basis: for each group u,
 B^(uv) = C^(u) - sqrt(t)(sqrt(t)+1) C^(uv) for v < t and
 B^(ut) = (sqrt(t)+1) C^(u) with C^(u) the group sum, then
 A^(uv) = 1/t + r B^(uv).  All symmetry identities are verified at
-construction time; a measurement object that exists is certified.
+construction time; a measurement object that exists is certified, and
+keeps the residuals it was certified with.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import InformationalCompletenessError, OperatorBasis
-from .linalg import check_hermitian
+from .linalg import HERMITICITY_TOL, check_hermitian
 
 SYMMETRY_TOL = 1e-10
 EFFECT_PSD_TOL = 1e-10
@@ -53,13 +54,9 @@ def r_range(b_ops: list[list[np.ndarray]]) -> tuple[float, float]:
     extreme eigenvalues taken over all B^(uv).
     """
     t = len(b_ops[0])
-    lam_max = -np.inf
-    lam_min = np.inf
-    for row in b_ops:
-        for b in row:
-            evals = np.linalg.eigvalsh(b)
-            lam_max = max(lam_max, evals[-1])
-            lam_min = min(lam_min, evals[0])
+    evals = np.linalg.eigvalsh(np.array(b_ops))
+    lam_max = evals[..., -1].max()
+    lam_min = evals[..., 0].min()
     if lam_max <= 0 or lam_min >= 0:
         raise ConstructionError("degenerate B operators: one-sided spectrum")
     return (-1.0 / (t * lam_max), 1.0 / (t * abs(lam_min)))
@@ -75,9 +72,13 @@ class SymmetricMeasurement:
     r: float
     chi: float
     effects: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
+    # admissible (r_neg, r_pos) of the construction; None for a loaded file
+    r_bounds: tuple[float, float] | None = field(default=None, compare=False, repr=False)
+    # certification_residuals at construction; never read back from a file
+    residuals: dict[str, float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _certify_or_raise(self)
+        object.__setattr__(self, "residuals", _certify_or_raise(self))
 
     @property
     def beta(self) -> float:
@@ -93,30 +94,39 @@ class SymmetricMeasurement:
         for row in self.effects:
             yield from row
 
+    def _scalars(self) -> dict:
+        return {"d": self.d, "s": self.s, "t": self.t, "r": self.r, "chi": self.chi}
+
     def to_json_dict(self) -> dict:
         return {
-            "d": self.d,
-            "s": self.s,
-            "t": self.t,
-            "r": self.r,
-            "chi": self.chi,
+            **self._scalars(),
             "effects": [
                 [[[z.real, z.imag] for z in a.ravel()] for a in row]
                 for row in self.effects
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+    def to_json(self, **extra) -> str:
+        """The text of `json.dumps({**self.to_json_dict(), **extra})`, encoded
+        one effect at a time: only `json.dumps` runs the C encoder, and the
+        nested list of every entry is never built."""
+        scalars = self._scalars()
+        if extra.keys() & {*scalars, "effects"}:
+            raise ValueError(f"extra keys {sorted(extra)} clash with the measurement's")
+        pairs = _stacked(self).view(float).reshape(self.s, self.t, -1, 2)
+        rows = ", ".join("[" + ", ".join(json.dumps(a.tolist()) for a in row) + "]"
+                         for row in pairs)
+        tail = ", " + json.dumps(extra)[1:] if extra else "}"
+        return f'{json.dumps(scalars)[:-1]}, "effects": [{rows}]{tail}'
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SymmetricMeasurement":
+        """Rebuild and re-certify a measurement; any stored "certification"
+        block is ignored, so a file cannot vouch for itself."""
         d = int(doc["d"])
         effects = tuple(
-            tuple(
-                np.array([complex(re, im) for re, im in flat]).reshape(d, d)
-                for flat in row
-            )
+            tuple(np.array(flat, dtype=float).view(complex).reshape(d, d)
+                  for flat in row)
             for row in doc["effects"]
         )
         return cls(d, int(doc["s"]), int(doc["t"]), float(doc["r"]),
@@ -125,6 +135,16 @@ class SymmetricMeasurement:
     @classmethod
     def from_json(cls, text: str) -> "SymmetricMeasurement":
         return cls.from_json_dict(json.loads(text))
+
+
+def _stacked(m: SymmetricMeasurement) -> np.ndarray:
+    """The effects as one (s*t, d, d) complex array, ordered (u, v) row-major."""
+    d, s, t = m.d, m.s, m.t
+    if len(m.effects) != s or any(len(row) != t for row in m.effects):
+        raise ConstructionError("effect array is not s x t")
+    if any(np.shape(a) != (d, d) for a in m.iter_effects()):
+        raise ConstructionError(f"effects are not {d} x {d} matrices")
+    return np.array(m.effects, dtype=complex).reshape(s * t, d, d)
 
 
 def chi_of_r(d: int, t: int, r: float) -> float:
@@ -158,24 +178,23 @@ def build_stpovm(basis: OperatorBasis, s: int, t: int,
     effects = tuple(
         tuple(eye / t + r_val * b for b in row) for row in b_ops
     )
-    return SymmetricMeasurement(d, s, t, r_val, chi_of_r(d, t, r_val), effects)
+    return SymmetricMeasurement(d, s, t, r_val, chi_of_r(d, t, r_val), effects,
+                                (r_neg, r_pos))
 
 
 def certification_residuals(m: SymmetricMeasurement) -> dict[str, float]:
     """Residuals of every identity the measurement must satisfy."""
     d, s, t, chi = m.d, m.s, m.t, m.chi
+    effects = _stacked(m)
     res: dict[str, float] = {}
-    min_eig = min(np.linalg.eigvalsh(a)[0] for a in m.iter_effects())
-    res["min_effect_eigenvalue"] = float(min_eig)
+    res["min_effect_eigenvalue"] = float(np.linalg.eigvalsh(effects)[:, 0].min())
     eye = np.eye(d)
-    res["completeness"] = max(
-        float(np.max(np.abs(sum(row) - eye))) for row in m.effects
-    )
-    res["trace"] = max(
-        abs(np.trace(a).real - d / t) for a in m.iter_effects()
-    )
+    res["completeness"] = float(np.max(np.abs(
+        effects.reshape(s, t, d, d).sum(axis=1) - eye)))
+    res["trace"] = float(np.max(np.abs(
+        np.trace(effects, axis1=1, axis2=2).real - d / t)))
     # Tr(A B) = <vec A, vec B> for Hermitian effects, ordered (u, v) row-major
-    flat = np.array([a.ravel() for a in m.iter_effects()])
+    flat = effects.reshape(s * t, d * d)
     gram = (flat.conj() @ flat.T).real
     res["purity"] = float(np.max(np.abs(np.diag(gram) - chi)))
     group = np.repeat(np.arange(s), t)
@@ -192,20 +211,22 @@ def certification_residuals(m: SymmetricMeasurement) -> dict[str, float]:
     swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
     res["conical_design"] = float(np.max(np.abs(
         flat.T @ flat - alpha * np.outer(eye, eye) - m.beta * swap)))
-    res["chi_consistency"] = abs(chi - chi_of_r(d, t, m.r))
+    res["chi_consistency"] = float(abs(chi - chi_of_r(d, t, m.r)))
     return res
 
 
-def _certify_or_raise(m: SymmetricMeasurement) -> None:
+def _certify_or_raise(m: SymmetricMeasurement) -> dict[str, float]:
+    """Raise unless every identity holds; return the residuals."""
     d, s, t = m.d, m.s, m.t
     if s * (t - 1) != d * d - 1:
         raise InformationalCompletenessError(
             f"s(t-1) = {s * (t - 1)} != d^2 - 1 = {d * d - 1}"
         )
-    if len(m.effects) != s or any(len(row) != t for row in m.effects):
-        raise ConstructionError("effect array is not s x t")
-    for a in m.iter_effects():
-        check_hermitian(a)
+    effects = _stacked(m)
+    dev = np.max(np.abs(effects - effects.conj().transpose(0, 2, 1)))
+    del effects  # certification_residuals stacks its own: hold one copy at a time
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     lo = m.d / m.t**2
     hi = min(m.d**2 / m.t**2, m.d / m.t)
     if not (lo < m.chi <= hi + SYMMETRY_TOL):
@@ -223,6 +244,7 @@ def _certify_or_raise(m: SymmetricMeasurement) -> None:
                 "conical_design", "chi_consistency"):
         if res[key] > SYMMETRY_TOL:
             raise ConstructionError(f"symmetry identity '{key}' fails: {res[key]:.3e}")
+    return res
 
 
 def square_sum_scalar(d: int, s: int, t: int, r: float) -> float:

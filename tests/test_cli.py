@@ -9,8 +9,13 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
-from kstretch.cli import CSV_HEADER, main
-from kstretch.povm import SymmetricMeasurement
+from kstretch import cli, povm
+from kstretch.basis import gell_mann_basis
+from kstretch.cli import CSV_HEADER, fmt, main
+from kstretch.criteria import threshold_p
+from kstretch.infoquant import QFI, VARIANCE, WYD_HALF
+from kstretch.povm import SymmetricMeasurement, build_stpovm
+from kstretch.states import ghz_qudit
 
 
 @pytest.fixture
@@ -44,8 +49,37 @@ def test_povm_output_file(runner, tmp_path):
     assert result.exit_code == 0, result.output
     doc = json.loads(path.read_text())
     assert doc["config"]["d"] == 2
+    assert list(doc)[-2:] == ["config", "certification"]
     m = SymmetricMeasurement.from_json_dict(doc)
     assert (m.d, m.s, m.t) == (2, 3, 2)
+    assert doc["certification"] == m.residuals
+    for key, value in doc["certification"].items():
+        assert f"  {key:24s} {fmt(value):>18s}  pass" in result.output
+    del doc["certification"]
+    assert SymmetricMeasurement.from_json_dict(doc).residuals == m.residuals
+
+
+def _count_calls(monkeypatch, original):
+    """Count calls of a povm function through every binding of it in kstretch."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    for module in (povm, cli):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_povm_certifies_once(runner, tmp_path, monkeypatch):
+    certified = _count_calls(monkeypatch, povm.certification_residuals)
+    ranged = _count_calls(monkeypatch, povm.r_range)
+    result = runner.invoke(main, ["povm", "--d", "3", "--s", "4", "--t", "3",
+                                  "--output", str(tmp_path / "m.json")])
+    assert result.exit_code == 0, result.output
+    assert (len(certified), len(ranged)) == (1, 1)
 
 
 def test_criteria_csv_schema(runner):
@@ -105,15 +139,21 @@ STREAM_CALLS = {
                   "--s", "1", "--t", "4", "--p", "0.5"], "# config"),
     "povm": (["povm", "--d", "2", "--s", "1", "--t", "4"], "(s,t)-POVM"),
     "partitions": (["partitions", "--n", "4", "--k", "0", "--diagrams"], "# config"),
+    "povm-error": (["povm", "--d", "3", "--s", "2", "--t", "4"], "error: "),
+    "threshold-error": (["threshold", "--family", "antisym", "--n", "4",
+                         "--f", "variance"], "error: "),
 }
 
 
 @pytest.mark.parametrize("command", list(STREAM_CALLS))
 def test_output_stream_not_retained(command):
-    """An in-process call keeps no reference to the stdout it wrote to."""
+    """An in-process call keeps no reference to the stdout or stderr it
+    wrote to."""
     args, prefix = STREAM_CALLS[command]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+    redirect = (contextlib.redirect_stderr if command.endswith("-error")
+                else contextlib.redirect_stdout)
+    with redirect(out), pytest.raises(SystemExit):
         main(args, standalone_mode=False)
     assert out.getvalue().startswith(prefix)
     ref = weakref.ref(out)
@@ -132,6 +172,33 @@ def test_threshold_antisym(runner):
     fields = lines[2].split(",")
     assert fields[:4] == ["3", "0", "variance", "variance"]
     assert float(fields[4]) == pytest.approx(0.75, abs=1e-5)
+
+
+def test_threshold_antisym_names_admissible_families(runner):
+    result = runner.invoke(main, [
+        "threshold", "--family", "antisym", "--n", "4", "--f", "variance"])
+    assert result.exit_code == 1
+    assert "s(t-1) = 8 != d^2 - 1 = 15 for d=4" in result.output
+    assert "admissible (s,t) for d=4: (15,2), (5,4), (3,6), (1,16)" in result.output
+
+
+def test_threshold_builds_one_measurement_per_dimension(runner, monkeypatch):
+    built = _count_calls(monkeypatch, povm.build_stpovm)
+    result = runner.invoke(main, ["threshold", "--family", "ghz", "--n", "10",
+                                  "--n", "20", "--n", "30"])
+    assert result.exit_code == 0, result.output
+    assert len(built) == 1
+    rows = result.output.strip().split("\n")[2:]
+    expected = []
+    for n in (10, 20, 30):  # a fresh measurement for every N
+        m = build_stpovm(gell_mann_basis(3), 1, 9)
+        for quantity, label, criterion in ((QFI, QFI.label, "skew"),
+                                           (WYD_HALF, WYD_HALF.label, "skew"),
+                                           (VARIANCE, VARIANCE, "variance")):
+            p_star = threshold_p(ghz_qudit(3, n), m, quantity, 3 - n)
+            expected.append(",".join([str(n), str(3 - n), label, criterion,
+                                      fmt(p_star) if p_star is not None else "NONE"]))
+    assert rows == expected
 
 
 def test_threshold_none_row(runner):

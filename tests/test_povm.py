@@ -1,9 +1,11 @@
 """Measurement construction, certification identities, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
-from conftest import random_density, random_pure
+from conftest import random_density, random_hermitian, random_pure
 from kstretch.basis import gell_mann_basis, group_basis
 from kstretch.povm import (
     PositivityError,
@@ -25,6 +27,13 @@ def all_families(d):
     """Every informationally complete (s,t) family for local dimension d."""
     return [((d * d - 1) // (t - 1), t) for t in range(2, d * d + 1)
             if (d * d - 1) % (t - 1) == 0]
+
+
+@pytest.fixture(scope="module")
+def catalogue():
+    """The chi-maximizing measurement of all 48 families at d = 2..9."""
+    return [build_stpovm(gell_mann_basis(d), s, t)
+            for d in range(2, 10) for s, t in all_families(d)]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -121,12 +130,97 @@ def test_probability_square_sum_matches_formula(m19, rng):
         probability_square_sum_pure(m19), abs=1e-10)
 
 
-def test_json_roundtrip(m14):
-    rebuilt = SymmetricMeasurement.from_json(m14.to_json())
-    assert rebuilt.d == m14.d and rebuilt.s == m14.s and rebuilt.t == m14.t
-    assert rebuilt.r == pytest.approx(m14.r)
-    for a, b in zip(m14.iter_effects(), rebuilt.iter_effects()):
-        assert np.max(np.abs(a - b)) < 1e-12
+def test_json_roundtrip(catalogue):
+    """Writing and reloading is bit-exact for every catalogue family."""
+    assert len(catalogue) == 48
+    for m in catalogue:
+        rebuilt = SymmetricMeasurement.from_json(m.to_json())
+        assert (rebuilt.d, rebuilt.s, rebuilt.t, rebuilt.r, rebuilt.chi) == \
+            (m.d, m.s, m.t, m.r, m.chi)
+        for a, b in zip(m.iter_effects(), rebuilt.iter_effects(), strict=True):
+            assert np.array_equal(a, b), (m.d, m.s, m.t)
+
+
+def test_to_json_matches_dumps_of_dict(catalogue):
+    """The per-effect encoder writes the text `json.dumps` gives for the whole
+    document, `to_json_dict` being the oracle."""
+    config = {"d": 3, "output": "m.json", "r": "max", "t": [1, 2.5]}
+    for m in catalogue:
+        assert m.to_json() == json.dumps(m.to_json_dict())
+        assert m.to_json(config=config, certification=m.residuals) == json.dumps(
+            {**m.to_json_dict(), "config": config, "certification": m.residuals})
+    with pytest.raises(ValueError, match="clash"):
+        catalogue[0].to_json(chi=0.5)
+
+
+def test_residuals_stored_and_never_loaded(m14):
+    """Construction certifies once and keeps the residuals; a file's own
+    certification block is ignored and the loaded measurement re-certified."""
+    assert m14.residuals == certification_residuals(m14)
+    doc = json.loads(m14.to_json(certification={"completeness": -1.0}))
+    rebuilt = SymmetricMeasurement.from_json_dict(doc)
+    assert rebuilt.residuals == certification_residuals(rebuilt)
+    assert rebuilt.residuals["completeness"] >= 0.0
+
+
+def test_malformed_effect_lists_rejected(m14):
+    doc = m14.to_json_dict()
+    ragged = json.loads(json.dumps(doc))
+    ragged["effects"][0][1][2] = [0.1]
+    short = json.loads(json.dumps(doc))
+    del short["effects"][0][1][-1]
+    long = json.loads(json.dumps(doc))
+    long["effects"][0][0].append([0.0, 0.0])
+    triples = json.loads(json.dumps(doc))
+    triples["effects"][0][0] = [[re, im, 0.0] for re, im in triples["effects"][0][0]]
+    missing_row = json.loads(json.dumps(doc))
+    missing_row["effects"][0].pop()
+    for bad in (ragged, short, long, triples, missing_row):
+        with pytest.raises(ValueError):
+            SymmetricMeasurement.from_json_dict(bad)
+    doc["effects"][-1][-1][1][1] += 0.05  # Im A_01 of the last effect only
+    with pytest.raises(ValueError, match="not Hermitian"):
+        SymmetricMeasurement.from_json_dict(doc)
+
+
+def _uncertified(m, effects):
+    """A measurement object holding arbitrary effects, bypassing certification."""
+    obj = object.__new__(SymmetricMeasurement)
+    for name in ("d", "s", "t", "r", "chi"):
+        object.__setattr__(obj, name, getattr(m, name))
+    object.__setattr__(obj, "effects", effects)
+    return obj
+
+
+def test_batched_residuals_match_per_effect_reference(catalogue, rng):
+    """The stacked eigenvalue and reduction residuals equal a loop over the
+    effects, on every family and on a copy with a different perturbation of
+    each effect; the stacked r range equals a loop over the B operators."""
+    for m in catalogue:
+        d, s, t = m.d, m.s, m.t
+        noise = [[random_hermitian(rng, d) * 1e-3 * rng.random() for _ in row]
+                 for row in m.effects]
+        perturbed = tuple(tuple(a + e for a, e in zip(row, noise_row))
+                          for row, noise_row in zip(m.effects, noise))
+        for case in (m, _uncertified(m, perturbed)):
+            res = certification_residuals(case)
+            effects = list(case.iter_effects())
+            reference = {
+                "min_effect_eigenvalue": min(np.linalg.eigvalsh(a)[0] for a in effects),
+                "completeness": max(np.max(np.abs(sum(row) - np.eye(d)))
+                                    for row in case.effects),
+                "trace": max(abs(np.trace(a).real - d / t) for a in effects),
+            }
+            for key, value in reference.items():
+                assert abs(res[key] - value) <= 1e-15, (d, s, t, key)
+        rows = build_b_operators(group_basis(gell_mann_basis(d), s, t))
+        evals = [np.linalg.eigvalsh(b) for row in rows for b in row]
+        lam_max = max(e[-1] for e in evals)
+        lam_min = min(e[0] for e in evals)
+        r_neg, r_pos = r_range(rows)
+        assert abs(r_neg + 1 / (t * lam_max)) <= 1e-15 * abs(r_neg), (d, s, t)
+        assert abs(r_pos - 1 / (t * abs(lam_min))) <= 1e-15 * r_pos, (d, s, t)
+        assert m.r_bounds == (r_neg, r_pos)
 
 
 def test_tampered_effects_rejected(m14):
