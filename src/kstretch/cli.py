@@ -27,7 +27,9 @@ from .partitions import (
     bound_i,
     bound_v,
     closed_form_m,
+    count_kstretch,
     enumerate_kstretch,
+    max_sum_squares,
     young_diagram,
 )
 from .povm import PositivityError, build_stpovm
@@ -258,9 +260,8 @@ def cmd_threshold(ctx, family, state_file, d, n, k, s, t, r, f_choice,
                 criterion = "variance" if quantity == VARIANCE else "skew"
                 p_star = threshold_p(fam, m, quantity, k_val)
                 rows.append((n_val, k_val, label, criterion, p_star))
-    except NonMonotoneIndicatorError as exc:
-        _fail(f"{exc}; grid = {exc.grid}")
-    except (InformationalCompletenessError, PositivityError, ValueError) as exc:
+    except (NonMonotoneIndicatorError, InformationalCompletenessError,
+            PositivityError, ValueError) as exc:
         _fail(exc)
     cfg = _config_echo(pr)
     if pr["out_format"] == "json":
@@ -290,21 +291,21 @@ def cmd_threshold(ctx, family, state_file, d, n, k, s, t, r, f_choice,
 @click.option("--config", "config", type=click.Path(exists=True), default=None)
 @click.pass_context
 def cmd_partitions(ctx, n, k, d, s, t, r, diagrams, config):
-    """Enumerate k-stretchable partitions and print the detection bounds."""
+    """Count k-stretchable partitions and print the detection bounds."""
     _apply_config(ctx, config)
     pr = ctx.params
     n, k = pr["n"], pr["k"]
-    parts_list = enumerate_kstretch(n, k)
+    count = count_kstretch(n, k)
     lines = [f"# config = {json.dumps(_config_echo(pr))}",
-             f"{len(parts_list)} {k}-stretchable partition(s) of {n}"]
-    if not parts_list:
+             f"{count} {k}-stretchable partition(s) of {n}"]
+    if not count:
         _emit("\n".join(lines) + "\n", None)
         sys.exit(0)
-    m_enum = max(sum(size * size for size in parts) for parts in parts_list)
+    m_val = max_sum_squares(n, k)
     m_closed = closed_form_m(n, min(k, n - 1))
     agreement = ("n/a" if m_closed is None
-                 else "agree" if m_closed == m_enum else "DISAGREE")
-    lines.append(f"max sum of squared block sizes (enumeration): {m_enum}")
+                 else "agree" if m_closed == m_val else "DISAGREE")
+    lines.append(f"max sum of squared block sizes: {m_val}")
     lines.append(f"closed-form bracket: {m_closed if m_closed is not None else 'n/a'}"
                  f" ({agreement})")
     try:
@@ -315,7 +316,7 @@ def cmd_partitions(ctx, n, k, d, s, t, r, diagrams, config):
     except (InformationalCompletenessError, PositivityError, ValueError) as exc:
         lines.append(f"bounds unavailable: {exc}")
     if pr["diagrams"]:
-        for parts in parts_list:
+        for parts in enumerate_kstretch(n, k):
             lines += ["", young_diagram(parts)]
     _emit("\n".join(lines) + "\n", None)
     sys.exit(0)

@@ -9,6 +9,7 @@ Satisfying both inequalities is always "inconclusive".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -21,6 +22,8 @@ from .infoquant import (
     collective_operator,
     criterion_lhs_dense,
     criterion_lhs_isotropic,
+    two_level_factor,
+    variance_sum,
 )
 from .linalg import DensityMatrix
 from .partitions import BoundInputs, bound_i, bound_v, enumerate_kstretch
@@ -28,18 +31,18 @@ from .povm import SymmetricMeasurement
 from .states import IsotropicFamily, effect_moments
 
 VERDICT_MARGIN = 1e-9
-THRESHOLD_GRID_POINTS = 101
-THRESHOLD_PRECISION = 1e-6
 
 Quantity = Union[MonotoneFunctionSpec, str]
 
 
 class NonMonotoneIndicatorError(RuntimeError):
-    """Raised when the violation indicator is not monotone in p."""
+    """Raised when the set of violating p in [0,1] is not one interval [p*, 1]."""
 
-    def __init__(self, grid: list[tuple[float, bool]]):
-        self.grid = grid
-        super().__init__("violation indicator is not monotone on the p-grid")
+    def __init__(self, intervals: list[tuple[float, float]]):
+        self.intervals = intervals
+        spans = ", ".join(f"[{lo:.12g}, {hi:.12g}]" for lo, hi in intervals)
+        super().__init__(f"the inequality is violated for p in {spans}, "
+                         "not on one interval ending at p = 1")
 
 
 @dataclass(frozen=True)
@@ -132,46 +135,79 @@ def evaluate_sweep(family: IsotropicFamily, m: SymmetricMeasurement, k: int,
     `cases`, in order; generator moments and bounds are computed once."""
     n, d = family.n, family.d
     moments = _moments(family, m)
+    beta = m.beta
     return _reports(m, n, k, cases, lambda quantity, p: criterion_lhs_isotropic(
-        moments, m.beta, p, d, n, quantity))
+        moments, beta, p, d, n, quantity))
 
 
 def threshold_p(family: IsotropicFamily, m: SymmetricMeasurement,
                 quantity: Quantity, k: int) -> Optional[float]:
-    """Smallest p in [0,1] where the chosen inequality is violated.
+    """The noise threshold: the infimum of the p in [0,1] at which the
+    chosen inequality is violated, solved from the closed form of the LHS.
 
     quantity selects the criterion: a MonotoneFunctionSpec runs the
     skew-information inequality, VARIANCE the variance inequality.
-    Returns None when even p=1 is not violated.  Raises
-    NonMonotoneIndicatorError if the indicator flips more than once on
-    the verification grid.
+    Returns None when no p in [0,1] is violated, and 0.0 when every p is.
+    Raises NonMonotoneIndicatorError, with the exact violation intervals,
+    when the violating p do not form one interval [p*, 1].
     """
     n, d = family.n, family.d
     moments = _moments(family, m)
-    i_bd, v_bd = _bounds(m, n, k)
+    i_bd, v_bd = (float(b) for b in _bounds(m, n, k))
+    beta = float(m.beta)
+    if quantity == VARIANCE:
+        return _variance_root(moments, beta, d, n, v_bd - VERDICT_MARGIN)
+    return _skew_root(quantity, moments, beta, d, n, i_bd + VERDICT_MARGIN)
 
-    def violated(p: float) -> bool:
-        lhs = criterion_lhs_isotropic(moments, m.beta, p, d, n, quantity)
-        if quantity == VARIANCE:
-            return lhs < v_bd - VERDICT_MARGIN
-        return lhs > i_bd + VERDICT_MARGIN
 
-    grid = [(p, violated(p)) for p in np.linspace(0.0, 1.0, THRESHOLD_GRID_POINTS)]
-    flags = [flag for _, flag in grid]
-    flips = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
-    if flips > 1 or (flips == 1 and not flags[-1]):
-        raise NonMonotoneIndicatorError(grid)
-    if not flags[-1]:
+def _skew_root(spec: MonotoneFunctionSpec, moments: CollectiveMoments,
+               beta: float, d: int, n: int, bound: float) -> Optional[float]:
+    """Infimum of {p: beta F_psi h(p) > bound}, h the two-level factor, which
+    rises strictly from h(0) = 0 to h(1) = 1."""
+    top = beta * moments.pure_variance  # the LHS at p = 1
+    if top <= bound:
         return None
-    lo = max((p for p, flag in grid if not flag), default=0.0)
-    hi = min(p for p, flag in grid if flag)
-    while hi - lo > THRESHOLD_PRECISION:
-        mid = 0.5 * (lo + hi)
-        if violated(mid):
+    if bound < 0.0:
+        return 0.0
+    if spec.family == "qfi":
+        # top p^2 / (p (1 - c) + c) = bound, c = 2/D: the positive root of
+        # top p^2 - bound (1 - c) p - bound c, free of cancellation
+        c = 2.0 * float(d) ** -n
+        lin = bound * (1.0 - c)
+        return min((lin + math.sqrt(lin * lin + 4.0 * top * bound * c)) / (2.0 * top), 1.0)
+    # WYD: bisect in floats until the midpoint is an endpoint; lo never
+    # violates, hi always does
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if two_level_factor(mid, d, n, spec) * beta * moments.pure_variance > bound:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return hi
+
+
+def _variance_root(moments: CollectiveMoments, beta: float, d: int, n: int,
+                   bound: float) -> Optional[float]:
+    """Infimum of the violation set {p: g(p) < 0} of the concave quadratic
+    g(p) = beta V(p) - bound = c0 + c1 p - c2 p^2: g < 0 exactly outside
+    [r1, r2] (or, if c2 = 0, on one side of its one root)."""
+    g0, g1 = (beta * variance_sum(moments, p, d, n) - bound for p in (0.0, 1.0))
+    c2 = beta * moments.s1
+    c0, c1 = g0, g1 - g0 + c2
+    disc = c1 * c1 + 4.0 * c2 * c0
+    # the roots of c2 p^2 - c1 p - c0 are q / c2 and -c0 / q, free of cancellation
+    q = 0.5 * (c1 + math.copysign(math.sqrt(max(disc, 0.0)), c1))
+    roots = sorted([-c0 / q] + ([q / c2] if c2 else [])) if q else [0.0]
+    r1, r2 = (min(max(r, 0.0), 1.0) for r in (roots[0], roots[-1]))
+    if g1 >= 0.0:
+        if g0 < 0.0:
+            raise NonMonotoneIndicatorError([(0.0, r1)])
+        return None  # concave: g >= 0 at both ends holds in between
+    if g0 >= 0.0:
+        return r2
+    if c2 > 0.0 and disc >= 0.0 and 0.0 < r1 and r2 < 1.0:
+        raise NonMonotoneIndicatorError([(0.0, r1), (r2, 1.0)])
+    return 0.0
 
 
 def antisym_variance_threshold(n: int, r: float) -> float:

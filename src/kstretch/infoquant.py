@@ -56,27 +56,35 @@ QFI = MonotoneFunctionSpec("qfi")
 WYD_HALF = MonotoneFunctionSpec("wyd", 0.5)
 
 
-def _weight_matrix(rows: np.ndarray, cols: np.ndarray,
-                   spec: MonotoneFunctionSpec) -> np.ndarray:
-    """Skew weights f(0)/2 (a-b)^2 / (b f(a/b)) for every pair of nonnegative
-    eigenvalues a in `rows`, b in `cols`, with the analytic limit at b=0.
+def _pair_weight(a, b, spec: MonotoneFunctionSpec):
+    """Skew weight f(0)/2 (a-b)^2 / (b f(a/b)) of nonnegative eigenvalues a, b,
+    elementwise on floats or broadcasting arrays; `_null_pair` marks the
+    pairs that weigh 0 instead.
 
     Both families reduce to closed forms regular at b=0: QFI gives
     (a-b)^2/(2(a+b)) and WYD gives (a^w - b^w)(a^(1-w) - b^(1-w)) / 2 (both
     with limit a/2); f(0) = w(1-w) cancels, so no omega in (0,1) overflows.
     """
+    if spec.family == "qfi":
+        return 0.5 * (a - b) ** 2 / (a + b)
+    w = spec.omega
+    return 0.5 * (a**w - b**w) * (a ** (1 - w) - b ** (1 - w))
+
+
+def _null_pair(a, b, spec: MonotoneFunctionSpec):
+    """True where a pair weighs 0: degenerate pairs analytically, and QFI
+    pairs whose denominator a + b vanishes."""
+    return (abs(a - b) < EIG_ZERO_TOL) | ((spec.family == "qfi") & (a + b <= EIG_ZERO_TOL))
+
+
+def _weight_matrix(rows: np.ndarray, cols: np.ndarray,
+                   spec: MonotoneFunctionSpec) -> np.ndarray:
+    """`_pair_weight` for every pair of eigenvalues a in `rows`, b in `cols`."""
     a = rows[:, None]
     b = cols[None, :]
-    if spec.family == "qfi":
-        denom = a + b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weights = np.where(denom > EIG_ZERO_TOL,
-                               0.5 * (a - b) ** 2 / denom, 0.0)
-    else:
-        w = spec.omega
-        weights = 0.5 * (a**w - b**w) * (a ** (1 - w) - b ** (1 - w))
-    # degenerate pairs contribute nothing analytically
-    weights[np.abs(a - b) < EIG_ZERO_TOL] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = _pair_weight(a, b, spec)
+    weights[_null_pair(a, b, spec)] = 0.0
     return weights
 
 
@@ -216,17 +224,29 @@ def criterion_lhs_dense(rho: DensityMatrix, m, quantity) -> float:
     return m.beta * total
 
 
+def two_level_factor(p: float, d: int, n: int, spec: MonotoneFunctionSpec) -> float:
+    """Skew weight, both orderings, of the two-level spectrum of
+    p |psi><psi| + (1-p)/D, D = d^n: levels a = p + b and b = (1-p)/D, in
+    plain floats.  It increases strictly with p (a rises, b falls) from 0 at
+    p = 0 to 1 at p = 1; for QFI it is p^2 / (p + 2(1-p)/D)."""
+    b = (1 - p) * float(d) ** -n
+    a = p + b
+    return 0.0 if _null_pair(a, b, spec) else 2 * _pair_weight(a, b, spec)
+
+
+def variance_sum(moments: CollectiveMoments, p: float, d: int, n: int) -> float:
+    """sum_a Var(G_a) on p |psi><psi| + (1-p)/D: p s2 + (1-p)(d^2-1) n/d - p^2 s1,
+    a concave quadratic in p (linear when s1 = 0)."""
+    return p * moments.s2 + (1 - p) * (d * d - 1) * n / d - p * p * moments.s1
+
+
 def criterion_lhs_isotropic(moments: CollectiveMoments, beta: float, p: float,
                             d: int, n: int, quantity) -> float:
     """Exact LHS for rho(p) = p |psi><psi| + (1-p)/D: beta times the
-    variance sum p s2 + (1-p)(d^2-1) n/d - p^2 s1 of the generators, or
-    beta F_psi times the skew weight of the two-level spectrum
-    {p + (1-p)/D, (1-p)/D (x D-1)}."""
+    variance sum of the generators, or beta F_psi times the two-level
+    skew factor."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if quantity == VARIANCE:
-        return beta * (p * moments.s2 + (1 - p) * (d * d - 1) * n / d - p * p * moments.s1)
-    levels = np.array([p, 0.0]) + (1 - p) * float(d) ** -n
-    weights = _weight_matrix(levels, levels, quantity)
-    factor = weights[0, 1] + weights[1, 0]
-    return factor * beta * moments.pure_variance
+        return beta * variance_sum(moments, p, d, n)
+    return two_level_factor(p, d, n, quantity) * beta * moments.pure_variance

@@ -3,9 +3,10 @@
 Only block-size multisets matter here: both the stretchability condition
 max(parts) - len(parts) <= k and the quantity sum(parts^2) depend on
 sizes alone.  The bounds use the exact maximum M(N,k), computed in O(N)
-by block count.  Partition enumeration and the paper's piecewise bracket
-stay as audit oracles: the bracket falls below the true M for some k < 0
-and overshoots it for some small N (see `bracket_audit`).
+by block count, and `count_kstretch` counts the admissible partitions
+from partition numbers.  Partition enumeration and the paper's piecewise
+bracket stay as audit oracles: the bracket falls below the true M for
+some k < 0 and overshoots it for some small N (see `bracket_audit`).
 """
 
 from __future__ import annotations
@@ -43,6 +44,40 @@ def enumerate_kstretch(n: int, k: int) -> list[tuple[int, ...]]:
         for parts in _int_partitions_desc(n, n)
         if stretchability(parts) <= k_eff
     ]
+
+
+def _partition_numbers(n: int) -> list[int]:
+    """p(0), ..., p(n) by Euler's pentagonal-number recurrence."""
+    p = [1] + [0] * n
+    for i in range(1, n + 1):
+        j, total = 1, 0
+        while (pent := j * (3 * j - 1) // 2) <= i:
+            sign = 1 if j % 2 else -1
+            total += sign * p[i - pent]
+            if pent + j <= i:
+                total += sign * p[i - pent - j]
+            j += 1
+        p[i] = total
+    return p
+
+
+def count_kstretch(n: int, k: int) -> int:
+    """Number of k-stretchable partitions of n, without enumerating them.
+
+    Stretchability is Dyson's rank, so the count is the sum over ranks
+    m <= k of N(m, n) = sum_{j>=1} (-1)^(j-1) [p(n - j(3j-1)/2 - j|m|)
+    - p(n - j(3j+1)/2 - j|m|)], p the partition numbers: O(n^1.5) steps.
+    """
+    if k < 1 - n:
+        return 0
+    p = _partition_numbers(n)
+    total = 0
+    for rank in range(1 - n, min(k, n - 1) + 1):
+        j = 1
+        while (rest := n - j * (3 * j - 1) // 2 - j * abs(rank)) >= 0:
+            total += (-1) ** (j - 1) * (p[rest] - (p[rest - j] if rest >= j else 0))
+            j += 1
+    return total
 
 
 def max_sum_squares(n: int, k: int) -> int:

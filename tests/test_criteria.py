@@ -6,7 +6,9 @@ import pytest
 from kstretch import criteria, linalg
 from kstretch.basis import gell_mann_basis
 from kstretch.criteria import (
+    VERDICT_MARGIN,
     CriterionReport,
+    NonMonotoneIndicatorError,
     antisym_variance_threshold,
     block_operator_bounds,
     block_probability_bounds,
@@ -15,9 +17,82 @@ from kstretch.criteria import (
     random_kstretchable_density,
     threshold_p,
 )
-from kstretch.infoquant import QFI, VARIANCE, WYD_HALF
+from kstretch.infoquant import (
+    QFI,
+    VARIANCE,
+    WYD_HALF,
+    MonotoneFunctionSpec,
+    criterion_lhs_isotropic,
+)
+from kstretch.partitions import max_sum_squares
 from kstretch.povm import build_stpovm
-from kstretch.states import antisymmetric_state, ghz_qudit, materialize_dense
+from kstretch.states import (
+    antisymmetric_state,
+    custom_state,
+    effect_moments,
+    ghz_qudit,
+    materialize_dense,
+)
+
+ORACLE_QUANTITIES = (QFI, MonotoneFunctionSpec("wyd", 0.1), WYD_HALF,
+                     MonotoneFunctionSpec("wyd", 0.9), VARIANCE)
+ORACLE_WIDTH = 1e-6
+NON_MONOTONE = "non-monotone"
+
+
+def _violated(family, m, quantity, k):
+    """p -> whether criterion_lhs_isotropic violates the chosen bound at p."""
+    moments = effect_moments(family)
+    i_bd, v_bd = criteria._bounds(m, family.n, k)
+    beta = m.beta
+
+    def violated(p):
+        lhs = criterion_lhs_isotropic(moments, beta, p, family.d, family.n, quantity)
+        if quantity == VARIANCE:
+            return lhs < v_bd - VERDICT_MARGIN
+        return lhs > i_bd + VERDICT_MARGIN
+    return violated
+
+
+def grid_bisection_threshold(family, m, quantity, k):
+    """Oracle: the violation indicator on a 101-point grid, then bisection of
+    the bracketing cell to width 1e-6.  NON_MONOTONE when the grid flips more
+    than once or ends unviolated after a flip."""
+    violated = _violated(family, m, quantity, k)
+    grid = [(p, violated(p)) for p in np.linspace(0.0, 1.0, 101)]
+    flags = [flag for _, flag in grid]
+    flips = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
+    if flips > 1 or (flips == 1 and not flags[-1]):
+        return NON_MONOTONE
+    if not flags[-1]:
+        return None
+    lo = max((p for p, flag in grid if not flag), default=0.0)
+    hi = min(p for p, flag in grid if flag)
+    while hi - lo > ORACLE_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if violated(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def oracle_cases(family_kind):
+    """(family, measurement, k) over the cases the oracle test covers."""
+    if family_kind == "antisym":
+        for n in range(3, 9):
+            m = build_stpovm(gell_mann_basis(n), 1, n * n)
+            for k in range(1 - n, 2):
+                yield antisymmetric_state(n), m, k
+        return
+    d, s, t, r = family_kind
+    m = build_stpovm(gell_mann_basis(d), s, t, r)
+    for n in range(3, 51):
+        yield ghz_qudit(d, n), m, 3 - n
+
+
+ORACLE_FAMILIES = [(2, 3, 2, "max"), (2, 3, 2, 0.0129), (3, 1, 9, "max"),
+                   (3, 1, 9, 0.0129), "antisym"]
 
 
 def test_verdict_logic():
@@ -151,6 +226,94 @@ def test_antisym_closed_formula_shape():
         assert antisym_variance_threshold(n, 1e3) == pytest.approx(exact, rel=1e-4)
         assert antisym_variance_threshold(n, 0.0) == pytest.approx(
             (n + 1) / (n - 1), abs=1e-12)
+
+
+@pytest.mark.parametrize("family_kind", ORACLE_FAMILIES, ids=str)
+def test_threshold_matches_grid_bisection_oracle(family_kind):
+    """The exact roots agree with the grid-plus-bisection solver within its
+    1e-6 width, with the same None and non-monotone pattern."""
+    for family, m, k in oracle_cases(family_kind):
+        for quantity in ORACLE_QUANTITIES:
+            expected = grid_bisection_threshold(family, m, quantity, k)
+            where = (family.kind, family.n, k, quantity)
+            if expected == NON_MONOTONE:
+                with pytest.raises(NonMonotoneIndicatorError):
+                    threshold_p(family, m, quantity, k)
+                continue
+            p_star = threshold_p(family, m, quantity, k)
+            if expected is None:
+                assert p_star is None, where
+            else:
+                assert p_star == pytest.approx(expected, abs=ORACLE_WIDTH), where
+
+
+@pytest.mark.parametrize("family_kind", ORACLE_FAMILIES, ids=str)
+def test_threshold_float_neighbours_straddle_bound(family_kind):
+    """p*(1 - 4 eps) satisfies the inequality and p*(1 + 4 eps) violates it."""
+    eps = np.finfo(float).eps
+    for family, m, k in oracle_cases(family_kind):
+        for quantity in ORACLE_QUANTITIES:
+            p_star = threshold_p(family, m, quantity, k)
+            if p_star is None or not 0.0 < p_star < 1.0:
+                continue
+            violated = _violated(family, m, quantity, k)
+            where = (family.kind, family.n, k, quantity, p_star)
+            assert not violated(p_star * (1 - 4 * eps)), where
+            assert violated(min(p_star * (1 + 4 * eps), 1.0)), where
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_antisym_variance_threshold_exact(n):
+    """p* = (2M - N - 1)/(N^2 - 1) to 1e-12 for every k with 0 < p* < 1, once
+    the verdict margin's shift is added: the variance sum is
+    beta (N^2 - 1)(1 - p), so the margin moves the root by
+    VERDICT_MARGIN / (beta (N^2 - 1)), about 1e-8 here."""
+    m = build_stpovm(gell_mann_basis(n), 1, n * n)
+    shift = VERDICT_MARGIN / (m.beta * (n * n - 1))
+    for k in range(1 - n, 2):
+        expected = (2 * max_sum_squares(n, k) - n - 1) / (n**2 - 1)
+        if 0.0 < expected < 1.0:
+            p_star = threshold_p(antisymmetric_state(n), m, VARIANCE, k)
+            assert p_star == pytest.approx(expected + shift, abs=1e-12), k
+
+
+def test_threshold_returns_builtin_float(m19):
+    for quantity in (QFI, WYD_HALF):
+        p_star = threshold_p(ghz_qudit(3, 5), m19, quantity, k=-2)
+        assert type(p_star) is float
+    assert type(threshold_p(antisymmetric_state(3), m19, VARIANCE, k=0)) is float
+
+
+def _with_v_bound(monkeypatch, value):
+    monkeypatch.setattr(criteria, "_bounds", lambda m, n, k: (1.0, value))
+
+
+def test_variance_violated_below_root_raises(m19, monkeypatch):
+    """GHZ has s1 = 0: the variance sum rises linearly from beta K at p=0 to
+    beta F_psi at p=1, so a bound between them is violated on [0, p0)."""
+    n, d = 4, 3
+    mixed, f_psi = (d * d - 1) * n / d, (1 - 1 / d) * n * n + (d - 1) * n
+    _with_v_bound(monkeypatch, m19.beta * 14.0 + VERDICT_MARGIN)
+    with pytest.raises(NonMonotoneIndicatorError) as info:
+        threshold_p(ghz_qudit(d, n), m19, VARIANCE, k=-1)
+    [(lo, hi)] = info.value.intervals
+    assert lo == 0.0 and hi == pytest.approx((14.0 - mixed) / (f_psi - mixed), rel=1e-12)
+    assert "violated for p in [0, 0.416666666667]" in str(info.value)
+
+
+def test_variance_two_interval_violation(m14, monkeypatch):
+    """On |000> the variance sum is beta (4.5 + 3p - 4.5p^2), largest at p=1/3:
+    a bound of beta 4.75 is violated on two intervals, beta 5.5 on all of [0,1]."""
+    family = custom_state([2, 2, 2], np.eye(8)[0])
+    _with_v_bound(monkeypatch, m14.beta * 4.75 + VERDICT_MARGIN)
+    with pytest.raises(NonMonotoneIndicatorError) as info:
+        threshold_p(family, m14, VARIANCE, k=0)
+    roots = (3 - np.sqrt(4.5)) / 9, (3 + np.sqrt(4.5)) / 9
+    [(a, b), (c, e)] = info.value.intervals
+    assert (a, e) == (0.0, 1.0)
+    assert (b, c) == pytest.approx(roots, rel=1e-12)
+    _with_v_bound(monkeypatch, m14.beta * 5.5)
+    assert threshold_p(family, m14, VARIANCE, k=0) == 0.0
 
 
 @pytest.mark.parametrize("d,s,t", [(2, 1, 4), (3, 1, 9)])

@@ -1,5 +1,7 @@
 """Partition enumeration, the closed-form bracket, and the bound formulas."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,29 @@ from kstretch.partitions import (
     bound_v,
     bracket_audit,
     closed_form_m,
+    count_kstretch,
     enumerate_kstretch,
     max_sum_squares,
     stretchability,
     young_diagram,
 )
+
+
+def test_count_matches_enumeration():
+    """The rank-generating-function count equals the enumeration for every
+    N <= 20 and every k, including k < 1 - N (no partition)."""
+    for n in range(1, 21):
+        for k in range(-n - 1, n + 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                expected = len(enumerate_kstretch(n, k))
+            assert count_kstretch(n, k) == expected, (n, k)
+
+
+def test_count_large_n():
+    """p(55) = 451276 in total; counting needs no enumeration."""
+    assert count_kstretch(55, 54) == 451276
+    assert count_kstretch(55, 0) == 235669
 
 
 def test_stretchability():
