@@ -3,9 +3,11 @@
 A measurement is built from a grouped operator basis: for each group u,
 B^(uv) = C^(u) - sqrt(t)(sqrt(t)+1) C^(uv) for v < t and
 B^(ut) = (sqrt(t)+1) C^(u) with C^(u) the group sum, then
-A^(uv) = 1/t + r B^(uv).  All symmetry identities are verified at
-construction time; a measurement object that exists is certified, and
-keeps the residuals it was certified with.
+A^(uv) = 1/t + r B^(uv), held as one read-only (s, t, d, d) array.  All
+symmetry identities are verified at construction time; a measurement
+object that exists is certified, and keeps the residuals it was
+certified with.  A JSON file encodes each distinct [re, im] entry once
+and decodes in one `np.array` call.
 """
 
 from __future__ import annotations
@@ -31,30 +33,25 @@ class ConstructionError(ValueError):
     """Raised when a measurement fails its certification identities."""
 
 
-def build_b_operators(basis: OperatorBasis) -> list[list[np.ndarray]]:
-    """The traceless B^(uv) operators of the general construction, s x t."""
+def build_b_operators(basis: OperatorBasis) -> np.ndarray:
+    """The traceless B^(uv) operators of the general construction, (s, t, d, d)."""
     if basis.grouping is None:
         raise ValueError("basis must be grouped before building a measurement")
     s, t = basis.s, basis.t
     sqt = np.sqrt(t)
-    rows = []
-    for u in range(1, s + 1):
-        group = [basis.op(u, v) for v in range(1, t)]
-        c_u = sum(group)
-        row = [c_u - sqt * (sqt + 1) * c_uv for c_uv in group]
-        row.append((sqt + 1) * c_u)
-        rows.append(row)
-    return rows
+    c = np.array([[basis.op(u, v) for v in range(1, t)] for u in range(1, s + 1)])
+    c_u = c.sum(axis=1, keepdims=True)
+    return np.concatenate([c_u - sqt * (sqt + 1) * c, (sqt + 1) * c_u], axis=1)
 
 
-def r_range(b_ops: list[list[np.ndarray]]) -> tuple[float, float]:
+def r_range(b_ops: np.ndarray) -> tuple[float, float]:
     """Admissible interval (r_neg, r_pos) keeping every effect PSD.
 
     r_neg = -1/(t lambda_max), r_pos = 1/(t |lambda_min|) with the
     extreme eigenvalues taken over all B^(uv).
     """
     t = len(b_ops[0])
-    evals = np.linalg.eigvalsh(np.array(b_ops))
+    evals = np.linalg.eigvalsh(np.asarray(b_ops))
     lam_max = evals[..., -1].max()
     lam_min = evals[..., 0].min()
     if lam_max <= 0 or lam_min >= 0:
@@ -71,13 +68,16 @@ class SymmetricMeasurement:
     t: int
     r: float
     chi: float
-    effects: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
+    effects: np.ndarray = field(repr=False)  # (s, t, d, d) complex, read-only
     # admissible (r_neg, r_pos) of the construction; None for a loaded file
     r_bounds: tuple[float, float] | None = field(default=None, compare=False, repr=False)
     # certification_residuals at construction; never read back from a file
     residuals: dict[str, float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        effects = np.array(self.effects, dtype=complex)  # a private, frozen copy
+        effects.flags.writeable = False
+        object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "residuals", _certify_or_raise(self))
 
     @property
@@ -98,24 +98,22 @@ class SymmetricMeasurement:
         return {"d": self.d, "s": self.s, "t": self.t, "r": self.r, "chi": self.chi}
 
     def to_json_dict(self) -> dict:
-        return {
-            **self._scalars(),
-            "effects": [
-                [[[z.real, z.imag] for z in a.ravel()] for a in row]
-                for row in self.effects
-            ],
-        }
+        pairs = _stacked(self).view(float).reshape(self.s, self.t, -1, 2)
+        return {**self._scalars(), "effects": pairs.tolist()}
 
     def to_json(self, **extra) -> str:
-        """The text of `json.dumps({**self.to_json_dict(), **extra})`, encoded
-        one effect at a time: only `json.dumps` runs the C encoder, and the
-        nested list of every entry is never built."""
+        """The text of `json.dumps({**self.to_json_dict(), **extra})`, with
+        each distinct [re, im] pair encoded once and joined by its index."""
         scalars = self._scalars()
         if extra.keys() & {*scalars, "effects"}:
             raise ValueError(f"extra keys {sorted(extra)} clash with the measurement's")
-        pairs = _stacked(self).view(float).reshape(self.s, self.t, -1, 2)
-        rows = ", ".join("[" + ", ".join(json.dumps(a.tolist()) for a in row) + "]"
-                         for row in pairs)
+        # distinct by bit pattern, so -0.0 and 0.0 keep their own text
+        keys, index = np.unique(_stacked(self).view("V16").ravel(), return_inverse=True)
+        words = np.array([json.dumps(p) for p in keys.view(float).reshape(-1, 2).tolist()],
+                         dtype=object)
+        cells = words[index].reshape(self.s, self.t, -1).tolist()
+        rows = ", ".join("[" + ", ".join("[" + ", ".join(a) + "]" for a in row) + "]"
+                         for row in cells)
         tail = ", " + json.dumps(extra)[1:] if extra else "}"
         return f'{json.dumps(scalars)[:-1]}, "effects": [{rows}]{tail}'
 
@@ -123,14 +121,15 @@ class SymmetricMeasurement:
     def from_json_dict(cls, doc: dict) -> "SymmetricMeasurement":
         """Rebuild and re-certify a measurement; any stored "certification"
         block is ignored, so a file cannot vouch for itself."""
-        d = int(doc["d"])
-        effects = tuple(
-            tuple(np.array(flat, dtype=float).view(complex).reshape(d, d)
-                  for flat in row)
-            for row in doc["effects"]
-        )
-        return cls(d, int(doc["s"]), int(doc["t"]), float(doc["r"]),
-                   float(doc["chi"]), effects)
+        missing = [key for key in ("d", "s", "t", "r", "chi", "effects") if key not in doc]
+        if missing:
+            raise ValueError(f"measurement document lacks {', '.join(map(repr, missing))}")
+        d, s, t = int(doc["d"]), int(doc["s"]), int(doc["t"])
+        pairs = np.array(doc["effects"], dtype=float)  # ValueError when ragged
+        if pairs.shape != (s, t, d * d, 2):
+            raise ValueError(f"effects have shape {pairs.shape}, not {(s, t, d * d, 2)}")
+        return cls(d, s, t, float(doc["r"]), float(doc["chi"]),
+                   pairs.view(complex).reshape(s, t, d, d))
 
     @classmethod
     def from_json(cls, text: str) -> "SymmetricMeasurement":
@@ -140,11 +139,10 @@ class SymmetricMeasurement:
 def _stacked(m: SymmetricMeasurement) -> np.ndarray:
     """The effects as one (s*t, d, d) complex array, ordered (u, v) row-major."""
     d, s, t = m.d, m.s, m.t
-    if len(m.effects) != s or any(len(row) != t for row in m.effects):
-        raise ConstructionError("effect array is not s x t")
-    if any(np.shape(a) != (d, d) for a in m.iter_effects()):
-        raise ConstructionError(f"effects are not {d} x {d} matrices")
-    return np.array(m.effects, dtype=complex).reshape(s * t, d, d)
+    effects = np.asarray(m.effects, dtype=complex)
+    if effects.shape != (s, t, d, d):
+        raise ConstructionError(f"effects are not an {s} x {t} array of {d} x {d} matrices")
+    return effects.reshape(s * t, d, d)
 
 
 def chi_of_r(d: int, t: int, r: float) -> float:
@@ -174,10 +172,7 @@ def build_stpovm(basis: OperatorBasis, s: int, t: int,
         raise PositivityError(
             f"r={r_val} outside admissible range [{r_neg}, {r_pos}]"
         )
-    eye = np.eye(d, dtype=complex)
-    effects = tuple(
-        tuple(eye / t + r_val * b for b in row) for row in b_ops
-    )
+    effects = np.eye(d, dtype=complex) / t + r_val * b_ops
     return SymmetricMeasurement(d, s, t, r_val, chi_of_r(d, t, r_val), effects,
                                 (r_neg, r_pos))
 
@@ -223,9 +218,11 @@ def _certify_or_raise(m: SymmetricMeasurement) -> dict[str, float]:
             f"s(t-1) = {s * (t - 1)} != d^2 - 1 = {d * d - 1}"
         )
     effects = _stacked(m)
+    if not (np.isfinite(m.r) and np.isfinite(m.chi) and np.isfinite(effects).all()):
+        raise ConstructionError(f"r={m.r}, chi={m.chi} and every effect entry must be finite")
     dev = np.max(np.abs(effects - effects.conj().transpose(0, 2, 1)))
-    del effects  # certification_residuals stacks its own: hold one copy at a time
-    if dev > HERMITICITY_TOL:
+    # each gate is `not (within tolerance)`, so a NaN residual fails it
+    if not (dev <= HERMITICITY_TOL):
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     lo = m.d / m.t**2
     hi = min(m.d**2 / m.t**2, m.d / m.t)
@@ -234,15 +231,15 @@ def _certify_or_raise(m: SymmetricMeasurement) -> dict[str, float]:
             f"chi={m.chi} outside ({lo}, {hi}]"
         )
     res = certification_residuals(m)
-    if res["min_effect_eigenvalue"] < -EFFECT_PSD_TOL:
+    if not (res["min_effect_eigenvalue"] >= -EFFECT_PSD_TOL):
         raise PositivityError(
             f"effect not PSD (min eigenvalue {res['min_effect_eigenvalue']:.3e})"
         )
-    if res["completeness"] > COMPLETENESS_TOL:
+    if not (res["completeness"] <= COMPLETENESS_TOL):
         raise ConstructionError(f"effects do not sum to identity: {res['completeness']:.3e}")
     for key in ("trace", "purity", "cross_outcome", "cross_measurement",
                 "conical_design", "chi_consistency"):
-        if res[key] > SYMMETRY_TOL:
+        if not (res[key] <= SYMMETRY_TOL):
             raise ConstructionError(f"symmetry identity '{key}' fails: {res[key]:.3e}")
     return res
 

@@ -59,6 +59,23 @@ def test_povm_output_file(runner, tmp_path):
     assert SymmetricMeasurement.from_json_dict(doc).residuals == m.residuals
 
 
+def test_povm_file_round_trips_to_same_bytes(runner, tmp_path):
+    """For every catalogue family, a loaded file written again with its own
+    config and the re-certified residuals is the file, byte for byte."""
+    families = [(d, (d * d - 1) // (t - 1), t) for d in range(2, 10)
+                for t in range(2, d * d + 1) if (d * d - 1) % (t - 1) == 0]
+    assert len(families) == 48
+    for d, s, t in families:
+        path = tmp_path / f"m_{d}_{s}_{t}.json"
+        result = runner.invoke(main, ["povm", "--d", str(d), "--s", str(s), "--t", str(t),
+                                      "--output", str(path)])
+        assert result.exit_code == 0, result.output
+        text = path.read_text()
+        m = SymmetricMeasurement.from_json(text)
+        config = json.loads(text)["config"]
+        assert m.to_json(config=config, certification=m.residuals) == text, (d, s, t)
+
+
 def _count_calls(monkeypatch, original):
     """Count calls of a povm function through every binding of it in kstretch."""
     calls = []

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_density, random_hermitian, random_pure
 from kstretch.basis import gell_mann_basis, group_basis
 from kstretch.povm import (
+    ConstructionError,
     PositivityError,
     SymmetricMeasurement,
     build_b_operators,
@@ -142,7 +143,7 @@ def test_json_roundtrip(catalogue):
 
 
 def test_to_json_matches_dumps_of_dict(catalogue):
-    """The per-effect encoder writes the text `json.dumps` gives for the whole
+    """The interning encoder writes the text `json.dumps` gives for the whole
     document, `to_json_dict` being the oracle."""
     config = {"d": 3, "output": "m.json", "r": "max", "t": [1, 2.5]}
     for m in catalogue:
@@ -151,6 +152,23 @@ def test_to_json_matches_dumps_of_dict(catalogue):
             {**m.to_json_dict(), "config": config, "certification": m.residuals})
     with pytest.raises(ValueError, match="clash"):
         catalogue[0].to_json(chi=0.5)
+
+
+def test_to_json_keeps_signed_zeros_and_ulp_neighbours_apart(m14):
+    """Entries are interned by bit pattern: 0.0 and -0.0, and two values one
+    ulp apart, each keep their own text."""
+    effects = m14.effects.copy()
+    x = float(effects[0, 1, 0, 0].real)
+    y = float(np.nextafter(x, 1.0))
+    effects[0, 0, 0, 1] = complex(0.0, -0.0)
+    effects[0, 0, 1, 0] = complex(-0.0, 0.0)
+    effects[0, 2, 0, 0] = complex(x, y)
+    effects[0, 3, 1, 1] = complex(y, x)
+    m = _uncertified(m14, effects)
+    text = m.to_json()
+    assert text == json.dumps(m.to_json_dict())
+    for pair in ([0.0, -0.0], [-0.0, 0.0], [x, y], [y, x]):
+        assert json.dumps(pair) in text
 
 
 def test_residuals_stored_and_never_loaded(m14):
@@ -181,6 +199,48 @@ def test_malformed_effect_lists_rejected(m14):
     doc["effects"][-1][-1][1][1] += 0.05  # Im A_01 of the last effect only
     with pytest.raises(ValueError, match="not Hermitian"):
         SymmetricMeasurement.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("key, value", [("r", "NaN"), ("r", "Infinity"), ("r", "-Infinity"),
+                                        ("chi", "NaN"), ("entry", "NaN")])
+def test_non_finite_values_rejected(m14, key, value):
+    """`json` reads NaN and Infinity; a file holding one in r, chi or an
+    effect entry fails before any eigenvalue is taken."""
+    doc = m14.to_json_dict()
+    if key == "entry":
+        doc["effects"][0][2][3][0] = float(value)
+    else:
+        doc[key] = float(value)
+    text = json.dumps(doc)
+    assert value in text
+    with pytest.raises(ConstructionError, match="finite"):
+        SymmetricMeasurement.from_json(text)
+
+
+@pytest.mark.parametrize("key", ["d", "s", "t", "r", "chi", "effects"])
+def test_missing_key_named(m14, key):
+    doc = m14.to_json_dict()
+    del doc[key]
+    with pytest.raises(ValueError, match=f"lacks '{key}'"):
+        SymmetricMeasurement.from_json_dict(doc)
+
+
+def test_effects_read_only(m14):
+    """A certified measurement's effects cannot change after certification,
+    built or loaded."""
+    for m in (m14, SymmetricMeasurement.from_json(m14.to_json())):
+        with pytest.raises(ValueError, match="read-only"):
+            m.effects[0][0][0, 0] = 5
+        with pytest.raises(ValueError, match="read-only"):
+            m.effect(1, 2)[1, 1] = 5
+        for a in m.iter_effects():
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1
+    assert np.array_equal(m14.effects, SymmetricMeasurement.from_json(m14.to_json()).effects)
+    mine = m14.effects.copy()  # the measurement keeps its own copy of the caller's array
+    m = SymmetricMeasurement(m14.d, m14.s, m14.t, m14.r, m14.chi, mine)
+    mine[0, 0, 0, 0] = 5
+    assert np.array_equal(m.effects, m14.effects)
 
 
 def _uncertified(m, effects):
