@@ -37,6 +37,8 @@ from .states import antisymmetric_state, ghz_qudit, load_state_file
 
 CSV_HEADER = ("N,k,d,s,t,r,f,p,lhs_skew,i_bound,violated_skew,"
               "lhs_var,v_bound,violated_var")
+# report fields constant over one evaluate_sweep call: one family, measurement and k
+SWEEP_SHARED = frozenset({"N", "k", "d", "s", "t", "r", "i_bound", "v_bound"})
 
 
 def fmt(x) -> str:
@@ -91,9 +93,7 @@ def _config_echo(params: dict) -> dict:
 
 
 def _build_measurement(d: int, s: int, t: int, r: str):
-    basis = gell_mann_basis(d)
-    r_val = r if r == "max" else float(r)
-    return build_stpovm(basis, s, t, r_val)
+    return build_stpovm(gell_mann_basis(d), s, t, r if r == "max" else float(r))
 
 
 def _family(name: str, d: int, n: int, state_file: Optional[str]):
@@ -163,10 +163,49 @@ def cmd_povm(ctx, d, s, t, r, output, config):
 def _p_values(p: tuple[float, ...], p_range: Optional[str]) -> list[float]:
     if p_range:
         start, stop, count = p_range.split(":")
-        return [float(x) for x in np.linspace(float(start), float(stop), int(count))]
-    if p:
-        return sorted(float(x) for x in p)
-    raise click.BadParameter("provide --p or --p-range")
+        values = [float(x) for x in np.linspace(float(start), float(stop), int(count))]
+    elif p:
+        values = sorted(float(x) for x in p)
+    else:
+        raise click.BadParameter("provide --p or --p-range")
+    for p_val in values:
+        if not 0.0 <= p_val <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p_val}")
+    return values
+
+
+def _criteria_json(cfg: dict, reports: list) -> str:
+    """json.dumps({"config": cfg, "rows": [rep.to_json_dict() ...]}, indent=2) + "\\n"
+    for one sweep: its shared fields are encoded once into a row template, and
+    its numbers by one call to the C encoder, which indent=2 never uses."""
+    head = json.dumps({"config": cfg, "rows": []}, indent=2)
+    if not reports:
+        return head + "\n"
+    template = "    {\n" + ",\n".join(
+        f'      "{key}": ' + (json.dumps(value) if key in SWEEP_SHARED else "%s")
+        for key, value in reports[0].to_json_dict().items()) + "\n    }"
+    words = {word: json.dumps(word) for word in {True, False, None, *(
+        word for rep in reports for word in (rep.f_label, rep.verdict))}}
+    # a list of numbers and nulls only, so every "," separates two entries
+    nums = iter(json.dumps([x for rep in reports for x in (rep.p, rep.lhs_skew, rep.lhs_var)],
+                           separators=(",", ":"))[1:-1].split(","))
+    rows = ",\n".join(template % (words[rep.f_label], p, skew, words[rep.violated_skew], var,
+                                  words[rep.violated_var], words[rep.verdict])
+                      for rep, p, skew, var in zip(reports, nums, nums, nums))
+    return f"{head[:-4]}[\n{rows}\n  ]\n}}\n"
+
+
+def _criteria_csv(cfg: dict, reports: list) -> str:
+    """CSV for one sweep: each row fills a template holding its shared fields."""
+    lines = [f"# config = {json.dumps(cfg)}", CSV_HEADER]
+    if reports:
+        shared = reports[0].to_json_dict()
+        template = ",".join(fmt(shared[key]) if key in SWEEP_SHARED else "%s"
+                            for key in CSV_HEADER.split(","))
+        lines += [template % (rep.f_label, *map(fmt, (rep.p, rep.lhs_skew, rep.violated_skew,
+                                                      rep.lhs_var, rep.violated_var)))
+                  for rep in reports]
+    return "\n".join(lines) + "\n"
 
 
 @main.command("criteria")
@@ -194,32 +233,17 @@ def cmd_criteria(ctx, family, state_file, d, n, k, s, t, r, p, p_range, f_choice
     _apply_config(ctx, config)
     pr = ctx.params
     try:
+        p_values = _p_values(pr["p"], pr["p_range"])
+        quantities = parse_f(pr["f_choice"])
         fam = _family(pr["family"], pr["d"], pr["n"], pr["state_file"])
         m = _build_measurement(fam.d, pr["s"], pr["t"], pr["r"])
-        quantities = parse_f(pr["f_choice"])
-        p_values = _p_values(pr["p"], pr["p_range"])
     except (InformationalCompletenessError, PositivityError, ValueError) as exc:
         _fail(exc)
     reports = evaluate_sweep(fam, m, pr["k"], [
         (None if quantity == VARIANCE else quantity, p_val)
-        for p_val in p_values for quantity in quantities
-    ])
-    cfg = _config_echo(pr)
-    if pr["out_format"] == "json":
-        text = json.dumps({"config": cfg,
-                           "rows": [rep.to_json_dict() for rep in reports]},
-                          indent=2) + "\n"
-    else:
-        lines = [f"# config = {json.dumps(cfg)}", CSV_HEADER]
-        for rep in reports:
-            lines.append(",".join([
-                fmt(rep.n), fmt(rep.k), fmt(rep.d), fmt(rep.s), fmt(rep.t),
-                fmt(rep.r), rep.f_label, fmt(rep.p), fmt(rep.lhs_skew),
-                fmt(rep.i_bound), fmt(rep.violated_skew), fmt(rep.lhs_var),
-                fmt(rep.v_bound), fmt(rep.violated_var),
-            ]))
-        text = "\n".join(lines) + "\n"
-    _emit(text, pr["output"])
+        for p_val in p_values for quantity in quantities])
+    writer = _criteria_json if pr["out_format"] == "json" else _criteria_csv
+    _emit(writer(_config_echo(pr), reports), pr["output"])
     sys.exit(0)
 
 

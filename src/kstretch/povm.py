@@ -80,6 +80,13 @@ class SymmetricMeasurement:
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "residuals", _certify_or_raise(self))
 
+    def __eq__(self, other: object) -> bool:  # equal scalars, bit-identical effects
+        return (isinstance(other, SymmetricMeasurement) and self._scalars() == other._scalars()
+                and self.effects.tobytes() == other.effects.tobytes())
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._scalars().values()))
+
     @property
     def beta(self) -> float:
         """SWAP weight r^2 t (sqrt(t)+1)^2 of the certified conical 2-design
@@ -124,12 +131,18 @@ class SymmetricMeasurement:
         missing = [key for key in ("d", "s", "t", "r", "chi", "effects") if key not in doc]
         if missing:
             raise ValueError(f"measurement document lacks {', '.join(map(repr, missing))}")
-        d, s, t = int(doc["d"]), int(doc["s"]), int(doc["t"])
-        pairs = np.array(doc["effects"], dtype=float)  # ValueError when ragged
+        for key in ("d", "s", "t", "r", "chi"):
+            kind, types = ("integer", int) if key in "dst" else ("number", (int, float))
+            if isinstance(doc[key], bool) or not isinstance(doc[key], types):
+                raise ValueError(f"{key!r} must be a JSON {kind}, not {doc[key]!r}")
+        d, s, t = doc["d"], doc["s"], doc["t"]
+        pairs = np.array(doc["effects"])  # ValueError when ragged
+        if pairs.dtype.kind not in "fi":  # never a bool, str or null entry
+            raise ValueError(f"'effects' must hold JSON numbers, not {pairs.dtype} entries")
         if pairs.shape != (s, t, d * d, 2):
             raise ValueError(f"effects have shape {pairs.shape}, not {(s, t, d * d, 2)}")
         return cls(d, s, t, float(doc["r"]), float(doc["chi"]),
-                   pairs.view(complex).reshape(s, t, d, d))
+                   pairs.astype(float, copy=False).view(complex).reshape(s, t, d, d))
 
     @classmethod
     def from_json(cls, text: str) -> "SymmetricMeasurement":

@@ -151,6 +151,76 @@ def test_criteria_deterministic(runner):
     assert out1 == out2
 
 
+def _json_oracle(cfg, reports):
+    """The criteria JSON writer before rows were written from a template."""
+    return json.dumps({"config": cfg, "rows": [rep.to_json_dict() for rep in reports]},
+                      indent=2) + "\n"
+
+
+def _csv_oracle(cfg, reports):
+    """The criteria CSV writer before rows were written from a template."""
+    lines = [f"# config = {json.dumps(cfg)}", CSV_HEADER]
+    for rep in reports:
+        lines.append(",".join([
+            fmt(rep.n), fmt(rep.k), fmt(rep.d), fmt(rep.s), fmt(rep.t),
+            fmt(rep.r), rep.f_label, fmt(rep.p), fmt(rep.lhs_skew),
+            fmt(rep.i_bound), fmt(rep.violated_skew), fmt(rep.lhs_var),
+            fmt(rep.v_bound), fmt(rep.violated_var),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+D2 = ["--family", "ghz", "--d", "2", "--n", "3", "--k", "0", "--s", "1", "--t", "4"]
+WRITER_CASES = {
+    "ghz-all": ["--family", "ghz", "--d", "3", "--n", "5", "--k", "-2", "--p-range", "0:1:11"],
+    "antisym-all": ["--family", "antisym", "--n", "4", "--k", "-1", "--s", "1", "--t", "16",
+                    "--p-range", "0:1:11"],
+    "variance-null-skew": D2 + ["--f", "variance", "--p", "0.2", "--p", "0.9"],
+    "wyd-0.3": D2 + ["--f", "wyd:0.3", "--p-range", "0:1:5"],
+    "signed-zeros": D2 + ["--p", "-0.0", "--p", "0.0", "--p", "1"],
+    "no-rows": D2 + ["--p-range", "0:1:0"],
+    "state-file": ["--family", "file", "--state-file", "{state}", "--n", "3", "--k", "0",
+                   "--s", "3", "--t", "2", "--p", "0.5", "--p", "1"],
+}
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_criteria_writers_match_oracles(runner, monkeypatch, tmp_path, case, out_format):
+    """The template writers give, byte for byte, the text of the per-field
+    writers they replaced, on the same config and reports."""
+    state = tmp_path / 'w "stäte".json'
+    amps = [[0.0, 0.0], [3 ** -0.5, 0.0], [3 ** -0.5, 0.0], [0.0, 0.0],
+            [3 ** -0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    state.write_text(json.dumps({"site_dims": [2, 2, 2], "amplitudes": amps}))
+    args = [str(state) if a == "{state}" else a for a in WRITER_CASES[case]]
+    seen = []
+    for name in ("evaluate_sweep", "_config_echo"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real: seen.append(real(*a)) or seen[-1])
+    result = runner.invoke(main, ["criteria", *args, "--format", out_format])
+    assert result.exit_code == 0, result.output
+    reports, cfg = seen
+    oracle = _json_oracle if out_format == "json" else _csv_oracle
+    assert result.output == oracle(cfg, reports)
+    assert bool(reports) == (case != "no-rows")
+    if case == "variance-null-skew":
+        assert all(rep.lhs_skew is None for rep in reports)
+    if case == "state-file":
+        assert json.dumps(str(state)) in result.output
+
+
+@pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])
+def test_criteria_p_outside_unit_interval_fails_cleanly(runner, monkeypatch, p):
+    """A p outside [0, 1] is an error line and exit 1, found before any
+    measurement is built."""
+    monkeypatch.setattr(cli, "_build_measurement", lambda *a: pytest.fail("measurement built"))
+    result = runner.invoke(main, ["criteria", "--n", "4", "--k", "-1", "--p", "0.5", "--p", p])
+    assert result.exit_code == 1
+    assert result.output == f"error: p must lie in [0, 1], got {float(p)}\n"
+    assert isinstance(result.exception, SystemExit)  # no traceback
+
+
 STREAM_CALLS = {
     "criteria": (["criteria", "--family", "ghz", "--d", "2", "--n", "3", "--k", "0",
                   "--s", "1", "--t", "4", "--p", "0.5"], "# config"),

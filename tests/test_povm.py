@@ -288,3 +288,51 @@ def test_tampered_effects_rejected(m14):
     doc["effects"][0][0][0][0] += 0.05
     with pytest.raises(ValueError):
         SymmetricMeasurement.from_json_dict(doc)
+
+
+def test_equality_and_hash(m14):
+    """Measurements compare by value, scalars and bit-identical effects: a
+    round-tripped file is equal, with an equal hash; another r is not."""
+    rebuilt = SymmetricMeasurement.from_json(m14.to_json())
+    assert rebuilt == m14 and hash(rebuilt) == hash(m14)
+    assert len({m14, rebuilt}) == 1
+    other = build_stpovm(gell_mann_basis(2), 1, 4, m14.r / 2)
+    assert other != m14 and m14 != "m14"
+    ulp = m14.effects.copy()  # same scalars, one entry one ulp away
+    ulp[0, 1, 0, 0] = np.nextafter(ulp[0, 1, 0, 0].real, 1.0)
+    assert _uncertified(m14, ulp) != m14
+
+
+@pytest.mark.parametrize("case", ["strings", "float-d", "bool-s", "bool-r", "str-chi",
+                                  "bool-effects"])
+def test_wrong_json_types_rejected(m14, case):
+    """d, s and t must be JSON integers, and r, chi and the effect entries
+    JSON numbers; nothing is converted silently."""
+    doc = json.loads(m14.to_json())
+    if case == "strings":  # every number that can be written as a string
+        doc["d"], doc["r"] = str(doc["d"]), str(doc["r"])
+        doc["effects"] = [[[[str(x) for x in pair] for pair in a] for a in row]
+                          for row in doc["effects"]]
+        key = "'d'"
+    elif case == "float-d":
+        doc["d"], key = 2.9, "'d'"
+    elif case == "bool-s":
+        doc["s"], key = True, "'s'"
+    elif case == "bool-r":
+        doc["r"], key = True, "'r'"
+    elif case == "str-chi":
+        doc["chi"], key = str(doc["chi"]), "'chi'"
+    else:
+        doc["effects"] = [[[[x != 0 for x in pair] for pair in a] for a in row]
+                          for row in doc["effects"]]
+        key = "'effects'"
+    with pytest.raises(ValueError, match=key):
+        SymmetricMeasurement.from_json_dict(doc)
+
+
+def test_string_effect_entries_rejected(m14):
+    doc = json.loads(m14.to_json())
+    doc["effects"][0][1][2][0] = str(doc["effects"][0][1][2][0])
+    with pytest.raises(ValueError, match="'effects' must hold JSON numbers"):
+        SymmetricMeasurement.from_json_dict(doc)
+    assert SymmetricMeasurement.from_json_dict(json.loads(m14.to_json())) == m14
