@@ -206,6 +206,10 @@ def _variance_root(moments: CollectiveMoments, beta: float, d: int, n: int,
             raise NonMonotoneIndicatorError([(0.0, r1)])
         return None  # concave: g >= 0 at both ends holds in between
     if g0 >= 0.0:
+        # the float LHS can tie the bound a few ulps past r2: step up to the
+        # first p at which `evaluate` reports a violation
+        while r2 < 1.0 and not beta * variance_sum(moments, r2, d, n) < bound:
+            r2 = math.nextafter(r2, 1.0)
         return r2
     if c2 > 0.0 and disc >= 0.0 and 0.0 < r1 and r2 < 1.0:
         raise NonMonotoneIndicatorError([(0.0, r1), (r2, 1.0)])
@@ -224,10 +228,9 @@ def block_operator_bounds(m: SymmetricMeasurement, n: int) -> dict:
     """Spectral check of the block operator inequality: every eigenvalue
     of the effect-square sum on n sites lies between the two scalar
     bounds (equal at n=1)."""
-    d, s, t, r = m.d, m.s, m.t, m.r
-    big_t = t * (np.sqrt(t) + 1) ** 2
-    lower = r**2 * big_t * (d + 1) * n + (s / t - r**2 * big_t * (1 + 1 / d)) * n**2
-    upper = r**2 * big_t * (d - 1) * n + (s / t + r**2 * big_t * (1 - 1 / d)) * n**2
+    d, beta, s_over_t = m.d, m.beta, m.s / m.t
+    lower = beta * (d + 1) * n + (s_over_t - beta * (1 + 1 / d)) * n**2
+    upper = beta * (d - 1) * n + (s_over_t + beta * (1 - 1 / d)) * n**2
     total = sum(
         (lambda b: b @ b)(collective_operator(a, n)) for a in m.iter_effects()
     )
@@ -248,7 +251,7 @@ def block_probability_bounds(m: SymmetricMeasurement,
     """Check the pure-state probability square-sum bounds on an n-site block."""
     if psi.purity() < 1 - 1e-10:
         raise ValueError(f"state is not pure (purity {psi.purity()})")
-    d, t, chi = m.d, m.t, m.chi
+    d, s_over_t = m.d, m.s / m.t
     n = psi.n_sites
     if set(psi.site_dims) != {d}:
         raise ValueError("site dimensions do not match the measurement")
@@ -256,8 +259,9 @@ def block_probability_bounds(m: SymmetricMeasurement,
         float(np.trace(collective_operator(a, n) @ psi.entries).real) ** 2
         for a in m.iter_effects()
     )
-    lower = (d**2 - 1) * n / (t * (t - 1))
-    upper = (d - 1) * (d**2 + t**2 * chi) * n**2 / (d * t * (t - 1))
+    # (d^2-1)/(t(t-1)) = s/t, and the paper's chi term is s/t + beta (1-1/d)
+    lower = s_over_t * n
+    upper = (s_over_t + m.beta * (1 - 1 / d)) * n**2
     return {
         "n": n,
         "value": float(value),

@@ -11,11 +11,10 @@ some k < 0 and overshoots it for some small N (see `bracket_audit`).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterator
-
-import numpy as np
 
 
 def stretchability(parts: tuple[int, ...]) -> int:
@@ -128,59 +127,43 @@ def young_diagram(parts: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Scalar inputs of the detection bounds."""
+    """Scalar inputs of the detection bounds.  A measurement enters only
+    through beta, the SWAP weight of its conical 2-design, and s/t: the
+    paper's chi term equals s/t + beta (1 - 1/d) on every (s,t)-POVM."""
 
     n: int
     k: int
     d: int
-    s: int
-    t: int
-    r: float
-    chi: float
+    beta: float
+    s_over_t: float
 
     def __post_init__(self):
         if self.k + self.n < 1:
             raise ValueError(f"k + N = {self.k + self.n} must be >= 1")
-        if self.s * (self.t - 1) != self.d**2 - 1:
-            raise ValueError("measurement family is not informationally complete")
+        if not (0.0 < self.beta < math.inf and 0.0 < self.s_over_t < math.inf):
+            raise ValueError(f"beta = {self.beta} and s/t = {self.s_over_t} "
+                             "must be finite and > 0")
 
     @classmethod
     def from_measurement(cls, m, n: int, k: int) -> "BoundInputs":
-        return cls(n=n, k=k, d=m.d, s=m.s, t=m.t, r=m.r, chi=m.chi)
+        return cls(n=n, k=k, d=m.d, beta=m.beta, s_over_t=m.s / m.t)
 
 
 def bound_i(inputs: BoundInputs) -> float:
-    """Upper bound on the skew-information sum for k-stretchable states."""
-    n, d, s, t, r, chi = (inputs.n, inputs.d, inputs.s, inputs.t,
-                          inputs.r, inputs.chi)
-    big_t = t * (np.sqrt(t) + 1) ** 2
+    """Upper bound on the skew-information sum for k-stretchable states:
+    beta [(d-1) N + (1-1/d) M] + (s/t)(M - N), and beta (d-1) N when N+k = 1."""
+    n, d, beta = inputs.n, inputs.d, inputs.beta
     if n + inputs.k == 1:
-        return n * (
-            s / t + r**2 * big_t * (d - 1 / d)
-            - (d - 1) * (d**2 + t**2 * chi) / (d * t * (t - 1))
-        )
+        return beta * (d - 1) * n
     m_val = max_sum_squares(n, inputs.k)
-    return (
-        n * (r**2 * big_t * (d - 1) - (d**2 - 1) / (t * (t - 1)))
-        + (s / t + r**2 * big_t * (1 - 1 / d)) * m_val
-    )
+    return beta * ((d - 1) * n + (1 - 1 / d) * m_val) + inputs.s_over_t * (m_val - n)
 
 
 def bound_v(inputs: BoundInputs) -> float:
-    """Lower bound on the variance sum for k-stretchable states."""
-    n, d, s, t, r, chi = (inputs.n, inputs.d, inputs.s, inputs.t,
-                          inputs.r, inputs.chi)
-    big_t = t * (np.sqrt(t) + 1) ** 2
-    m_val = max_sum_squares(n, inputs.k)
-    return (
-        r**2 * big_t * (d + 1) * n
-        + (
-            s / t
-            - r**2 * big_t * (1 + 1 / d)
-            - (d - 1) * (d**2 + t**2 * chi) / (d * t * (t - 1))
-        )
-        * m_val
-    )
+    """Lower bound on the variance sum for k-stretchable states:
+    beta [(d+1) N - 2M], which does not depend on s/t."""
+    n = inputs.n
+    return inputs.beta * ((inputs.d + 1) * n - 2 * max_sum_squares(n, inputs.k))
 
 
 def bracket_audit(max_n: int = 14) -> list[dict]:

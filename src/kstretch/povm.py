@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import InformationalCompletenessError, OperatorBasis
-from .linalg import HERMITICITY_TOL, check_hermitian
+from .linalg import HERMITICITY_TOL
 
 SYMMETRY_TOL = 1e-10
 EFFECT_PSD_TOL = 1e-10
@@ -136,13 +136,20 @@ class SymmetricMeasurement:
             if isinstance(doc[key], bool) or not isinstance(doc[key], types):
                 raise ValueError(f"{key!r} must be a JSON {kind}, not {doc[key]!r}")
         d, s, t = doc["d"], doc["s"], doc["t"]
-        pairs = np.array(doc["effects"])  # ValueError when ragged
-        if pairs.dtype.kind not in "fi":  # never a bool, str or null entry
-            raise ValueError(f"'effects' must hold JSON numbers, not {pairs.dtype} entries")
-        if pairs.shape != (s, t, d * d, 2):
-            raise ValueError(f"effects have shape {pairs.shape}, not {(s, t, d * d, 2)}")
+        cells = np.array(doc["effects"], dtype=object)  # the entries themselves, unconverted
+        if cells.shape != (s, t, d * d, 2):
+            raise ValueError(f"effects have shape {cells.shape}, not {(s, t, d * d, 2)}")
+        # exact types: a bool is an int subclass that np.array would upcast
+        kinds = set(map(type, cells.ravel().tolist()))
+        if not kinds <= {float, int}:
+            names = ", ".join(sorted(k.__name__ for k in kinds - {float, int}))
+            raise ValueError(f"'effects' must hold JSON numbers, not {names} entries")
+        try:
+            pairs = cells.astype(float)
+        except OverflowError as exc:
+            raise ValueError(f"'effects' hold an integer beyond float range: {exc}") from None
         return cls(d, s, t, float(doc["r"]), float(doc["chi"]),
-                   pairs.astype(float, copy=False).view(complex).reshape(s, t, d, d))
+                   pairs.view(complex).reshape(s, t, d, d))
 
     @classmethod
     def from_json(cls, text: str) -> "SymmetricMeasurement":
@@ -255,36 +262,3 @@ def _certify_or_raise(m: SymmetricMeasurement) -> dict[str, float]:
         if not (res[key] <= SYMMETRY_TOL):
             raise ConstructionError(f"symmetry identity '{key}' fails: {res[key]:.3e}")
     return res
-
-
-def square_sum_scalar(d: int, s: int, t: int, r: float) -> float:
-    """Scalar c with sum over (u,v) of A^2 = c * identity (a test oracle:
-    the conical-design residual implies it, with c = alpha + beta d)."""
-    return s / t + r**2 * t * (np.sqrt(t) + 1) ** 2 * (d - 1 / d)
-
-
-def verify_square_sum(m: SymmetricMeasurement) -> float:
-    """Max entrywise deviation of the effect square sum from its scalar."""
-    total = sum(a @ a for a in m.iter_effects())
-    target = square_sum_scalar(m.d, m.s, m.t, m.r) * np.eye(m.d)
-    return float(np.max(np.abs(total - target)))
-
-
-def probability_square_sum(m: SymmetricMeasurement, rho: np.ndarray) -> float:
-    """Sum over (u,v) of [Tr(A^(uv) rho)]^2 by direct summation."""
-    rho = check_hermitian(rho)
-    if rho.shape != (m.d, m.d):
-        raise ValueError(f"state dimension {rho.shape[0]} != {m.d}")
-    return float(sum(np.trace(a @ rho).real ** 2 for a in m.iter_effects()))
-
-
-def probability_square_sum_formula(m: SymmetricMeasurement, purity: float) -> float:
-    """Closed form of the probability square sum as a function of purity."""
-    d, t, chi = m.d, m.t, m.chi
-    return (d * (t**2 * chi - d) * purity + d**3 - t**2 * chi) / (d * t * (t - 1))
-
-
-def probability_square_sum_pure(m: SymmetricMeasurement) -> float:
-    """The pure-state value (d-1)(d^2 + t^2 chi) / (d t (t-1))."""
-    d, t, chi = m.d, m.t, m.chi
-    return (d - 1) * (d**2 + t**2 * chi) / (d * t * (t - 1))

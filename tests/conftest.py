@@ -25,6 +25,19 @@ def m14():
     return build_stpovm(gell_mann_basis(2), 1, 4)
 
 
+def all_families(d):
+    """Every informationally complete (s,t) family for local dimension d."""
+    return [((d * d - 1) // (t - 1), t) for t in range(2, d * d + 1)
+            if (d * d - 1) % (t - 1) == 0]
+
+
+@pytest.fixture(scope="session")
+def catalogue():
+    """The chi-maximizing measurement of all 48 families at d = 2..9."""
+    return [build_stpovm(gell_mann_basis(d), s, t)
+            for d in range(2, 10) for s, t in all_families(d)]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

@@ -1,0 +1,74 @@
+"""Test oracles: the detection bounds as the paper writes them, in
+(r, chi, s, t), and the single-site effect-square identities.  The program
+computes the bounds from (beta, s/t) instead; these independent forms check
+it."""
+
+import numpy as np
+
+from kstretch.linalg import check_hermitian
+from kstretch.partitions import max_sum_squares
+
+
+def paper_bound_i(m, n: int, k: int) -> float:
+    """The skew-information bound in the paper's (r, chi, s, t) form."""
+    d, s, t, r, chi = m.d, m.s, m.t, m.r, m.chi
+    big_t = t * (np.sqrt(t) + 1) ** 2
+    if n + k == 1:
+        return n * (
+            s / t + r**2 * big_t * (d - 1 / d)
+            - (d - 1) * (d**2 + t**2 * chi) / (d * t * (t - 1))
+        )
+    m_val = max_sum_squares(n, k)
+    return (
+        n * (r**2 * big_t * (d - 1) - (d**2 - 1) / (t * (t - 1)))
+        + (s / t + r**2 * big_t * (1 - 1 / d)) * m_val
+    )
+
+
+def paper_bound_v(m, n: int, k: int) -> float:
+    """The variance bound in the paper's (r, chi, s, t) form."""
+    d, s, t, r, chi = m.d, m.s, m.t, m.r, m.chi
+    big_t = t * (np.sqrt(t) + 1) ** 2
+    m_val = max_sum_squares(n, k)
+    return (
+        r**2 * big_t * (d + 1) * n
+        + (
+            s / t
+            - r**2 * big_t * (1 + 1 / d)
+            - (d - 1) * (d**2 + t**2 * chi) / (d * t * (t - 1))
+        )
+        * m_val
+    )
+
+
+def square_sum_scalar(d: int, s: int, t: int, r: float) -> float:
+    """Scalar c with sum over (u,v) of A^2 = c * identity (the
+    conical-design residual implies it, with c = alpha + beta d)."""
+    return s / t + r**2 * t * (np.sqrt(t) + 1) ** 2 * (d - 1 / d)
+
+
+def verify_square_sum(m) -> float:
+    """Max entrywise deviation of the effect square sum from its scalar."""
+    total = sum(a @ a for a in m.iter_effects())
+    target = square_sum_scalar(m.d, m.s, m.t, m.r) * np.eye(m.d)
+    return float(np.max(np.abs(total - target)))
+
+
+def probability_square_sum(m, rho: np.ndarray) -> float:
+    """Sum over (u,v) of [Tr(A^(uv) rho)]^2 by direct summation."""
+    rho = check_hermitian(rho)
+    if rho.shape != (m.d, m.d):
+        raise ValueError(f"state dimension {rho.shape[0]} != {m.d}")
+    return float(sum(np.trace(a @ rho).real ** 2 for a in m.iter_effects()))
+
+
+def probability_square_sum_formula(m, purity: float) -> float:
+    """Closed form of the probability square sum as a function of purity."""
+    d, t, chi = m.d, m.t, m.chi
+    return (d * (t**2 * chi - d) * purity + d**3 - t**2 * chi) / (d * t * (t - 1))
+
+
+def probability_square_sum_pure(m) -> float:
+    """The pure-state value (d-1)(d^2 + t^2 chi) / (d t (t-1))."""
+    d, t, chi = m.d, m.t, m.chi
+    return (d - 1) * (d**2 + t**2 * chi) / (d * t * (t - 1))

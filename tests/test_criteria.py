@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import all_families
 from kstretch import criteria, linalg
 from kstretch.basis import gell_mann_basis
 from kstretch.criteria import (
@@ -294,6 +295,28 @@ def test_antisym_variance_threshold_exact(n):
         if 0.0 < expected < 1.0:
             p_star = threshold_p(antisymmetric_state(n), m, VARIANCE, k)
             assert p_star == pytest.approx(expected + shift, abs=1e-12), k
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_variance_threshold_independent_of_povm(n):
+    """Both sides of the variance inequality scale with beta, so p* is the
+    same for every (s,t) family and every r, up to the 1e-9 verdict margin,
+    which does not scale with beta: antisym at d = N, r = r_max and r_max/3."""
+    basis = gell_mann_basis(n)
+    measurements = []
+    for s, t in all_families(n):
+        m = build_stpovm(basis, s, t)
+        measurements += [m, build_stpovm(basis, s, t, m.r / 3)]
+    family = antisymmetric_state(n)
+    checked = 0
+    for k in range(1 - n, n):
+        p_stars = [threshold_p(family, m, VARIANCE, k) for m in measurements]
+        if p_stars[0] is not None and 0.0 < p_stars[0] < 1.0:
+            assert max(p_stars) - min(p_stars) <= 1e-6, (k, p_stars)
+            checked += 1
+        else:  # no violation at all, or at every p, for every measurement
+            assert len(set(p_stars)) == 1, (k, p_stars)
+    assert checked >= 1
 
 
 def test_threshold_returns_builtin_float(m19):

@@ -1,10 +1,14 @@
 """Partition enumeration, the closed-form bracket, and the bound formulas."""
 
+import functools
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+import oracles
+from kstretch import partitions
 from kstretch.partitions import (
     BoundInputs,
     bound_i,
@@ -17,6 +21,7 @@ from kstretch.partitions import (
     stretchability,
     young_diagram,
 )
+from oracles import paper_bound_i, paper_bound_v
 
 
 def test_count_matches_enumeration():
@@ -123,10 +128,38 @@ def test_young_diagram():
 
 
 def test_bound_inputs_validation(m19):
-    with pytest.raises(ValueError):
-        BoundInputs(n=2, k=-2, d=3, s=1, t=9, r=m19.r, chi=m19.chi)
-    with pytest.raises(ValueError):
-        BoundInputs(n=3, k=0, d=3, s=2, t=9, r=m19.r, chi=m19.chi)
+    """N + k < 1 and a beta or s/t that is not finite and positive each fail
+    with a ValueError; informational completeness is the measurement's check."""
+    good = {"n": 3, "k": 0, "d": 3, "beta": m19.beta, "s_over_t": 1 / 9}
+    assert BoundInputs(**good) == BoundInputs.from_measurement(m19, 3, 0)
+    with pytest.raises(ValueError, match="k \\+ N = 0"):
+        BoundInputs(**{**good, "n": 2, "k": -2})
+    for field in ("beta", "s_over_t"):
+        for value in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                BoundInputs(**{**good, field: value})
+
+
+def test_bounds_match_paper_forms(catalogue, monkeypatch):
+    """The (beta, s/t) forms equal the paper's (r, chi, s, t) forms on all 48
+    families at d = 2..9: every k for N <= 50, sampled k for N = 100, 1000
+    and 10^4.  bound_i agrees to 1e-12 relative; bound_v to 1e-12 beta
+    ((d+1)N + 2M) absolute, since the paper's form leaves cancellation
+    residue where the bound is 0."""
+    m_of = functools.cache(max_sum_squares)  # M(N, k) once, not once per family
+    monkeypatch.setattr(partitions, "max_sum_squares", m_of)
+    monkeypatch.setattr(oracles, "max_sum_squares", m_of)
+    cases = [(n, k) for n in range(1, 51) for k in range(1 - n, n)] + [
+        (n, k) for n in (100, 1000, 10**4)
+        for k in (1 - n, 2 - n, 3 - n, -n // 2, -1, 0, 1, n // 2, n - 1)]
+    for m in catalogue:
+        for n, k in cases:
+            inputs = BoundInputs.from_measurement(m, n, k)
+            new_i, old_i = bound_i(inputs), paper_bound_i(m, n, k)
+            assert abs(new_i - old_i) <= 1e-12 * abs(old_i), (m.d, m.s, m.t, n, k)
+            scale = m.beta * ((m.d + 1) * n + 2 * m_of(n, k))
+            assert abs(bound_v(inputs) - paper_bound_v(m, n, k)) <= 1e-12 * scale, \
+                (m.d, m.s, m.t, n, k)
 
 
 def test_bounds_match_independent_arithmetic(m19):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_density, random_hermitian, random_pure
+from conftest import all_families, random_density, random_hermitian, random_pure
 from kstretch.basis import gell_mann_basis, group_basis
 from kstretch.povm import (
     ConstructionError,
@@ -15,26 +15,15 @@ from kstretch.povm import (
     build_stpovm,
     certification_residuals,
     chi_of_r,
+    r_range,
+)
+from oracles import (
     probability_square_sum,
     probability_square_sum_formula,
     probability_square_sum_pure,
-    r_range,
     square_sum_scalar,
     verify_square_sum,
 )
-
-
-def all_families(d):
-    """Every informationally complete (s,t) family for local dimension d."""
-    return [((d * d - 1) // (t - 1), t) for t in range(2, d * d + 1)
-            if (d * d - 1) % (t - 1) == 0]
-
-
-@pytest.fixture(scope="module")
-def catalogue():
-    """The chi-maximizing measurement of all 48 families at d = 2..9."""
-    return [build_stpovm(gell_mann_basis(d), s, t)
-            for d in range(2, 10) for s, t in all_families(d)]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -336,3 +325,20 @@ def test_string_effect_entries_rejected(m14):
     with pytest.raises(ValueError, match="'effects' must hold JSON numbers"):
         SymmetricMeasurement.from_json_dict(doc)
     assert SymmetricMeasurement.from_json_dict(json.loads(m14.to_json())) == m14
+
+
+@pytest.mark.parametrize("value, match", [(False, "not bool entries"),
+                                          (10**400, "beyond float range")],
+                         ids=["false", "huge-int"])
+def test_bool_or_huge_effect_entry_rejected(m14, value, match):
+    """A JSON false among numbers is not read as 0.0, and an integer entry
+    beyond float range fails with a ValueError; a JSON 0 still reads as 0.0."""
+    doc = json.loads(m14.to_json())
+    u, v, e, part = next((u, v, e, part) for u, row in enumerate(doc["effects"])
+                         for v, a in enumerate(row) for e, pair in enumerate(a)
+                         for part, x in enumerate(pair) if x == 0.0)
+    doc["effects"][u][v][e][part] = 0
+    assert SymmetricMeasurement.from_json_dict(doc) == m14
+    doc["effects"][u][v][e][part] = value
+    with pytest.raises(ValueError, match=match):
+        SymmetricMeasurement.from_json_dict(doc)

@@ -1,5 +1,5 @@
-"""The benchmark's tracer binds program functions by name; keep them resolvable,
-and keep the import cost of every CLI call small."""
+"""The benchmark's tracer and workloads bind program functions by name; keep
+them resolvable and callable, and keep the import cost of every CLI call small."""
 
 import importlib
 import importlib.util
@@ -10,18 +10,32 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from oracles import paper_bound_i, paper_bound_v
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def tracer_targets() -> dict:
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_perfbench(name: str):
+    """Execute perfbench/<name>.py as a module, with perfbench/ importable for
+    its sibling imports; sys.path and the perfbench entries of sys.modules
+    are restored afterwards."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    saved_path, saved_modules = list(sys.path), set(sys.modules)
+    sys.path.insert(0, str(PERFBENCH))
     sys.modules[spec.name] = module  # its dataclasses look their module up here
     try:
         spec.loader.exec_module(module)
     finally:
-        del sys.modules[spec.name]
-    return module.TARGETS
+        sys.path[:] = saved_path
+        for key in set(sys.modules) - saved_modules:
+            if key == spec.name or str(PERFBENCH) in str(getattr(sys.modules[key], "__file__", "")):
+                del sys.modules[key]
+    return module
+
+
+def tracer_targets() -> dict:
+    return load_perfbench("tracer").TARGETS
 
 
 @pytest.mark.parametrize("key,target", sorted(tracer_targets().items()))
@@ -34,6 +48,19 @@ def test_tracer_target_resolves(key, target):
         assert hasattr(owner, part), f"{key}: {module_name}.{attr} is gone"
         owner = getattr(owner, part)
     assert callable(owner), key
+
+
+def test_benchmark_workloads_call_bounds():
+    """perfbench/workloads.py builds measurements and calls BoundInputs,
+    bound_i and bound_v itself, so a change to that API breaks the benchmark;
+    its bounds must import, run and equal the paper-form oracle."""
+    workloads = load_perfbench("workloads")
+    m = workloads.measurement(3, 1, 9)
+    i_bd, v_bd = workloads.isotropic_bounds(m, 10, -7)
+    assert type(i_bd) is float and type(v_bd) is float
+    assert i_bd == pytest.approx(paper_bound_i(m, 10, -7), rel=1e-12, abs=0)
+    scale = m.beta * (4 * 10 + 2 * workloads.max_sum_squares(10, -7))
+    assert v_bd == pytest.approx(paper_bound_v(m, 10, -7), rel=0, abs=1e-12 * scale)
 
 
 def test_no_scipy_import():
