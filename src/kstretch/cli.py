@@ -67,24 +67,31 @@ def parse_f(value: str) -> list:
     raise click.BadParameter(f"unknown quantity {value!r}")
 
 
+def _as_arg(value):
+    """A JSON config value as the text it stands for on the command line."""
+    return value if value is None or isinstance(value, str) else json.dumps(value)
+
+
 def _apply_config(ctx: click.Context, config_path: Optional[str]) -> None:
-    """Flags left at their defaults are overridden by the config file."""
+    """Flags left at their defaults are overridden by the config file; each
+    value goes through its option's own type, as its text would on the
+    command line, so a bad value is a usage error."""
     if config_path is None:
         return
     with open(config_path) as fh:
         overrides = json.load(fh)
+    params = {param.name: param for param in ctx.command.params}
     for name, value in overrides.items():
         if name == "config":
             continue
         if name not in ctx.params:
             raise click.BadParameter(f"unknown config key {name!r}")
-        source = ctx.get_parameter_source(name)
-        if source is click.core.ParameterSource.DEFAULT:
-            if isinstance(ctx.params[name], tuple) and not isinstance(value, (list, tuple)):
-                value = (value,)
-            elif isinstance(value, list):
-                value = tuple(value)
-            ctx.params[name] = value
+        if ctx.get_parameter_source(name) is click.core.ParameterSource.DEFAULT:
+            param = params[name]
+            if param.multiple and not isinstance(value, list):
+                value = [value]
+            value = [_as_arg(v) for v in value] if param.multiple else _as_arg(value)
+            ctx.params[name] = param.type_cast_value(ctx, value)
 
 
 def _config_echo(params: dict) -> dict:

@@ -10,7 +10,6 @@ Satisfying both inequalities is always "inconclusive".
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -23,8 +22,6 @@ from .infoquant import (
     collective_operator,
     criterion_lhs_dense,
     criterion_lhs_isotropic,
-    two_level_factor,
-    variance_sum,
 )
 from .linalg import DensityMatrix
 from .partitions import BoundInputs, bound_i, bound_v, enumerate_kstretch
@@ -93,6 +90,14 @@ def _moments(family: IsotropicFamily, m: SymmetricMeasurement) -> CollectiveMome
     return effect_moments(family)
 
 
+def _violates(quantity: Quantity, lhs: float, i_bd: float, v_bd: float) -> bool:
+    """The verdict: the skew LHS above the skew bound, or the variance LHS
+    below the variance bound, by more than VERDICT_MARGIN."""
+    if quantity == VARIANCE:
+        return bool(lhs < v_bd - VERDICT_MARGIN)
+    return bool(lhs > i_bd + VERDICT_MARGIN)
+
+
 def _reports(m: SymmetricMeasurement, n: int, k: int, cases,
              lhs: Callable[[Quantity, Optional[float]], float]) -> list[CriterionReport]:
     """One report per (f_spec, p) in `cases`; lhs(quantity, p) is the LHS."""
@@ -105,9 +110,9 @@ def _reports(m: SymmetricMeasurement, n: int, k: int, cases,
             n=n, k=k, d=m.d, s=m.s, t=m.t, r=m.r,
             f_label=f_spec.label if f_spec is not None else VARIANCE,
             lhs_skew=lhs_skew, lhs_var=lhs_var, i_bound=i_bd, v_bound=v_bd,
-            violated_skew=(bool(lhs_skew > i_bd + VERDICT_MARGIN)
+            violated_skew=(_violates(f_spec, lhs_skew, i_bd, v_bd)
                            if lhs_skew is not None else None),
-            violated_var=bool(lhs_var < v_bd - VERDICT_MARGIN), p=p))
+            violated_var=_violates(VARIANCE, lhs_var, i_bd, v_bd), p=p))
     return reports
 
 
@@ -144,76 +149,50 @@ def evaluate_sweep(family: IsotropicFamily, m: SymmetricMeasurement, k: int,
 
 def threshold_p(family: IsotropicFamily, m: SymmetricMeasurement,
                 quantity: Quantity, k: int) -> Optional[float]:
-    """The noise threshold: the infimum of the p in [0,1] at which the
-    chosen inequality is violated, solved from the closed form of the LHS.
+    """The noise threshold: the least float p in [0,1] at which `evaluate`
+    reports the chosen inequality violated, found by bisecting that verdict.
 
     quantity selects the criterion: a MonotoneFunctionSpec runs the
     skew-information inequality, VARIANCE the variance inequality.
     Returns None when no p in [0,1] is violated, and 0.0 when every p is.
-    Raises NonMonotoneIndicatorError, with the exact violation intervals,
-    when the violating p do not form one interval [p*, 1].
+    Raises NonMonotoneIndicatorError, with the violation intervals (each
+    inner endpoint the first float past the switch), when the violating p do
+    not form one interval [p*, 1].
     """
     n, d = family.n, family.d
     moments = _moments(family, m)
     i_bd, v_bd = (float(b) for b in _bounds(m, n, k))
     beta = float(m.beta)
-    if quantity == VARIANCE:
-        return _variance_root(moments, beta, d, n, v_bd - VERDICT_MARGIN)
-    return _skew_root(quantity, moments, beta, d, n, i_bd + VERDICT_MARGIN)
 
+    def violated(p: float) -> bool:
+        lhs = criterion_lhs_isotropic(moments, beta, p, d, n, quantity)
+        return _violates(quantity, lhs, i_bd, v_bd)
 
-def _skew_root(spec: MonotoneFunctionSpec, moments: CollectiveMoments,
-               beta: float, d: int, n: int, bound: float) -> Optional[float]:
-    """Infimum of {p: beta F_psi h(p) > bound}, h the two-level factor, which
-    rises strictly from h(0) = 0 to h(1) = 1."""
-    top = beta * moments.pure_variance  # the LHS at p = 1
-    if top <= bound:
-        return None
-    if bound < 0.0:
+    if quantity != VARIANCE:  # the skew LHS rises with p
+        if not violated(1.0):
+            return None
+        return 0.0 if violated(0.0) else _first(violated, 0.0, 1.0)
+    # the variance LHS is concave in p: it rises to its peak at top, then falls
+    slope = moments.s2 - (d * d - 1) * n / d
+    top = (min(max(slope / (2.0 * moments.s1), 0.0), 1.0) if moments.s1
+           else float(slope > 0.0))
+    if violated(top):
         return 0.0
-    if spec.family == "qfi":
-        # top p^2 / (p (1 - c) + c) = bound, c = 2/D: the positive root of
-        # top p^2 - bound (1 - c) p - bound c, free of cancellation
-        c = 2.0 * float(d) ** -n
-        lin = bound * (1.0 - c)
-        return min((lin + math.sqrt(lin * lin + 4.0 * top * bound * c)) / (2.0 * top), 1.0)
-    # WYD: bisect in floats until the midpoint is an endpoint; lo never
-    # violates, hi always does
-    lo, hi = 0.0, 1.0
+    r1 = _first(lambda p: not violated(p), 0.0, top) if violated(0.0) else None
+    r2 = _first(violated, top, 1.0) if violated(1.0) else None
+    if r1 is not None:
+        raise NonMonotoneIndicatorError(
+            [(0.0, r1)] + ([(r2, 1.0)] if r2 is not None else []))
+    return r2
+
+
+def _first(holds: Callable[[float], bool], lo: float, hi: float) -> float:
+    """The least float in (lo, hi] at which `holds` is true, for a `holds`
+    false at lo, true at hi and switching once: bisect in floats until the
+    midpoint is an endpoint."""
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if two_level_factor(mid, d, n, spec) * beta * moments.pure_variance > bound:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
     return hi
-
-
-def _variance_root(moments: CollectiveMoments, beta: float, d: int, n: int,
-                   bound: float) -> Optional[float]:
-    """Infimum of the violation set {p: g(p) < 0} of the concave quadratic
-    g(p) = beta V(p) - bound = c0 + c1 p - c2 p^2: g < 0 exactly outside
-    [r1, r2] (or, if c2 = 0, on one side of its one root)."""
-    g0, g1 = (beta * variance_sum(moments, p, d, n) - bound for p in (0.0, 1.0))
-    c2 = beta * moments.s1
-    c0, c1 = g0, g1 - g0 + c2
-    disc = c1 * c1 + 4.0 * c2 * c0
-    # the roots of c2 p^2 - c1 p - c0 are q / c2 and -c0 / q, free of cancellation
-    q = 0.5 * (c1 + math.copysign(math.sqrt(max(disc, 0.0)), c1))
-    roots = sorted([-c0 / q] + ([q / c2] if c2 else [])) if q else [0.0]
-    r1, r2 = (min(max(r, 0.0), 1.0) for r in (roots[0], roots[-1]))
-    if g1 >= 0.0:
-        if g0 < 0.0:
-            raise NonMonotoneIndicatorError([(0.0, r1)])
-        return None  # concave: g >= 0 at both ends holds in between
-    if g0 >= 0.0:
-        # the float LHS can tie the bound a few ulps past r2: step up to the
-        # first p at which `evaluate` reports a violation
-        while r2 < 1.0 and not beta * variance_sum(moments, r2, d, n) < bound:
-            r2 = math.nextafter(r2, 1.0)
-        return r2
-    if c2 > 0.0 and disc >= 0.0 and 0.0 < r1 and r2 < 1.0:
-        raise NonMonotoneIndicatorError([(0.0, r1), (r2, 1.0)])
-    return 0.0
 
 
 def antisym_variance_threshold(n: int, r: float) -> float:

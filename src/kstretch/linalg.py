@@ -25,8 +25,9 @@ def check_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    dev = np.max(np.abs(a - a.conj().T))
-    if dev > tol:
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN deviation fails the gate
+        dev = np.max(np.abs(a - a.conj().T))
+    if not dev <= tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return a
 
@@ -61,7 +62,7 @@ class DensityMatrix:
                 f"entries shape {entries.shape} does not match site dims {dims}"
             )
         tr = np.trace(entries).real
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace is {tr}, expected 1")
         try:  # rho >= -PSD_SLACK iff rho + PSD_SLACK has a Cholesky factor
             np.linalg.cholesky(entries + PSD_SLACK * np.eye(dim))

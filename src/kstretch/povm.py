@@ -139,21 +139,26 @@ class SymmetricMeasurement:
         cells = np.array(doc["effects"], dtype=object)  # the entries themselves, unconverted
         if cells.shape != (s, t, d * d, 2):
             raise ValueError(f"effects have shape {cells.shape}, not {(s, t, d * d, 2)}")
-        # exact types: a bool is an int subclass that np.array would upcast
-        kinds = set(map(type, cells.ravel().tolist()))
-        if not kinds <= {float, int}:
-            names = ", ".join(sorted(k.__name__ for k in kinds - {float, int}))
-            raise ValueError(f"'effects' must hold JSON numbers, not {names} entries")
-        try:
-            pairs = cells.astype(float)
-        except OverflowError as exc:
-            raise ValueError(f"'effects' hold an integer beyond float range: {exc}") from None
         return cls(d, s, t, float(doc["r"]), float(doc["chi"]),
-                   pairs.view(complex).reshape(s, t, d, d))
+                   json_floats(cells, "effects").view(complex).reshape(s, t, d, d))
 
     @classmethod
     def from_json(cls, text: str) -> "SymmetricMeasurement":
         return cls.from_json_dict(json.loads(text))
+
+
+def json_floats(cells: np.ndarray, key: str) -> np.ndarray:
+    """An object array of decoded JSON entries as floats; ValueError naming
+    `key` unless every entry is a JSON number within float range."""
+    # exact types: a bool is an int subclass that np.array would upcast
+    kinds = set(map(type, cells.ravel().tolist()))
+    if not kinds <= {float, int}:
+        names = ", ".join(sorted(k.__name__ for k in kinds - {float, int}))
+        raise ValueError(f"{key!r} must hold JSON numbers, not {names} entries")
+    try:
+        return cells.astype(float)
+    except OverflowError as exc:
+        raise ValueError(f"{key!r} hold an integer beyond float range: {exc}") from None
 
 
 def _stacked(m: SymmetricMeasurement) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 Each family describes a pure state |psi> to be mixed with white noise,
 rho(p) = p |psi><psi| + (1-p)/D.  The criteria need of |psi> only the two
-generator moments (s1, s2) of `effect_moments`.  For the built-in
-families they follow from the 1- and 2-party reduced states, known in
-closed form and certified against the partial-trace oracle at
-dense-feasible sizes in the test suite; custom states apply the
+generator moments (s1, s2), which each family computes once (`moments`).
+For the built-in families they follow from the 1- and 2-party reduced
+states, known in closed form and certified against the partial-trace
+oracle at dense-feasible sizes in the test suite; custom states apply the
 generators to the state vector.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 from typing import Optional
 
@@ -23,6 +24,7 @@ from .basis import gell_mann_basis
 from .infoquant import DENSE_DIM_LIMIT, CollectiveMoments, DenseSizeError, \
     _apply_collective, collective_moments_from_rdms
 from .linalg import DensityMatrix
+from .povm import json_floats
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,19 @@ class IsotropicFamily:
     rdm1: Optional[DensityMatrix]
     rdm2: Optional[DensityMatrix]
     amplitudes: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @cached_property
+    def moments(self) -> CollectiveMoments:
+        """Generator moments (s1, s2) of |psi>, computed on first use only."""
+        if self.kind != "custom":
+            return collective_moments_from_rdms(self.rdm1, self.rdm2, self.n)
+        vec = self.amplitudes
+        s1 = s2 = 0.0
+        for g in gell_mann_basis(self.d).ops:
+            g_vec = _apply_collective(g, self.n, vec)
+            s1 += np.vdot(vec, g_vec).real ** 2
+            s2 += np.vdot(g_vec, g_vec).real
+        return CollectiveMoments(float(s1), float(s2))
 
     @property
     def total_dim(self) -> int:
@@ -87,7 +102,7 @@ def custom_state(site_dims: list[int], amplitudes: np.ndarray) -> IsotropicFamil
     if len(set(dims)) != 1:
         raise ValueError(f"site dimensions must be uniform, got {dims}")
     d, n = dims[0], len(dims)
-    vec = np.asarray(amplitudes, dtype=complex).ravel()
+    vec = np.array(amplitudes, dtype=complex).ravel()
     if vec.size != int(np.prod(dims)):
         raise ValueError(
             f"{vec.size} amplitudes for total dimension {int(np.prod(dims))}"
@@ -95,18 +110,30 @@ def custom_state(site_dims: list[int], amplitudes: np.ndarray) -> IsotropicFamil
     if vec.size > DENSE_DIM_LIMIT:
         raise DenseSizeError("custom states are limited to dense-feasible sizes")
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"state vector norm is {norm}, expected 1")
+    vec.flags.writeable = False  # a private copy, so the cached moments cannot go stale
     return IsotropicFamily("custom", d, n, None, None, amplitudes=vec)
 
 
 def load_state_file(path) -> IsotropicFamily:
     """Load a pure-state vector from the JSON file format
-    {"site_dims": [...], "amplitudes": [[re, im], ...]} (row-major)."""
+    {"site_dims": [...], "amplitudes": [[re, im], ...]} (row-major): JSON
+    integers and JSON numbers, else ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
-    amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-    return custom_state(doc["site_dims"], amps)
+    if not isinstance(doc, dict):
+        raise ValueError("a state file must hold a JSON object")
+    missing = [key for key in ("site_dims", "amplitudes") if key not in doc]
+    if missing:
+        raise ValueError(f"state file lacks {', '.join(map(repr, missing))}")
+    dims = doc["site_dims"]
+    if not isinstance(dims, list) or any(type(x) is not int for x in dims):
+        raise ValueError(f"'site_dims' must be a list of JSON integers, not {dims!r}")
+    cells = np.array(doc["amplitudes"], dtype=object)
+    if cells.ndim != 2 or cells.shape[1] != 2:
+        raise ValueError(f"'amplitudes' must be [re, im] pairs, not shape {cells.shape}")
+    return custom_state(dims, json_floats(cells, "amplitudes").view(complex).ravel())
 
 
 def state_vector(family: IsotropicFamily) -> np.ndarray:
@@ -145,12 +172,4 @@ def materialize_dense(family: IsotropicFamily, p: float) -> DensityMatrix:
 
 def effect_moments(family: IsotropicFamily) -> CollectiveMoments:
     """Generator moments (s1, s2) of this family's |psi>."""
-    if family.kind != "custom":
-        return collective_moments_from_rdms(family.rdm1, family.rdm2, family.n)
-    vec = family.amplitudes
-    s1 = s2 = 0.0
-    for g in gell_mann_basis(family.d).ops:
-        g_vec = _apply_collective(g, family.n, vec)
-        s1 += np.vdot(vec, g_vec).real ** 2
-        s2 += np.vdot(g_vec, g_vec).real
-    return CollectiveMoments(float(s1), float(s2))
+    return family.moments

@@ -360,6 +360,54 @@ def test_config_unknown_key(runner, tmp_path):
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize("override,option", [
+    ({"t": "abc"}, "'--t'"), ({"d": 2.5}, "'--d'"), ({"d": True}, "'--d'"),
+    ({"f_choice": 3}, "unknown quantity '3'"), ({"p": [0.5, "x"]}, "'--p'")])
+def test_config_value_of_wrong_type_is_usage_error(runner, tmp_path, override, option):
+    """A config value goes through its option's own type, as its text would
+    on the command line: a bad one is a usage error (exit 2), never a
+    traceback, and a float is not truncated to an integer."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    args = ["criteria", "--n", "3", "--k", "0", "--config", str(cfg)]
+    result = runner.invoke(main, args + ([] if "p" in override else ["--p", "1"]))
+    assert result.exit_code == 2, result.output
+    assert "Error: Invalid value" in result.output and option in result.output
+    assert not isinstance(result.exception, (TypeError, AttributeError))
+
+
+def test_config_values_cast_like_flags(runner, tmp_path):
+    """Config values equal the same flags given on the command line."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 2, "s": 1, "t": 4, "r": 0.05, "p": [1, 0.5]}))
+    base = ["criteria", "--n", "2", "--k", "0", "--f", "qfi"]
+    from_config = runner.invoke(main, base + ["--config", str(cfg)])
+    from_flags = runner.invoke(main, base + ["--d", "2", "--s", "1", "--t", "4",
+                                             "--r", "0.05", "--p", "1", "--p", "0.5"])
+    assert from_config.exit_code == 0, from_config.output
+    config_line, rows = from_config.output.split("\n", 1)
+    assert rows == from_flags.output.split("\n", 1)[1]
+    cfg_echo = json.loads(config_line.removeprefix("# config = "))
+    assert (cfg_echo["d"], cfg_echo["r"], cfg_echo["p"]) == (2, "0.05", [1.0, 0.5])
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"site_dims": [2, 2], "amplitudes": [[float("nan"), 0.0]] + [[0.5, 0.0]] * 3},
+     "norm is nan"),
+    ({"amplitudes": [[1.0, 0.0], [0.0, 0.0]]}, "lacks 'site_dims'")])
+@pytest.mark.parametrize("command", ["criteria", "threshold"])
+def test_malformed_state_file_fails_cleanly(runner, tmp_path, doc, message, command):
+    """A state file with a NaN amplitude or without "site_dims" gives an
+    error line and exit 1, not NaN rows or a traceback."""
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(doc))
+    args = [command, "--family", "file", "--state-file", str(state), "--d", "2",
+            "--s", "1", "--t", "4", "--n", "2", "--k", "0"]
+    result = runner.invoke(main, args + (["--p", "1"] if command == "criteria" else []))
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("error: ") and message in result.output
+
+
 def test_output_file(runner, tmp_path):
     path = tmp_path / "rows.csv"
     result = runner.invoke(main, [

@@ -1,10 +1,12 @@
 """Verdicts, thresholds, auxiliary bound checks, random state generation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import all_families
-from kstretch import criteria, linalg
+from kstretch import criteria, linalg, states
 from kstretch.basis import gell_mann_basis
 from kstretch.criteria import (
     VERDICT_MARGIN,
@@ -356,6 +358,89 @@ def test_variance_two_interval_violation(m14, monkeypatch):
     assert (b, c) == pytest.approx(roots, rel=1e-12)
     _with_v_bound(monkeypatch, m14.beta * 5.5)
     assert threshold_p(family, m14, VARIANCE, k=0) == 0.0
+
+
+def _first_at(holds, p):
+    """`holds` is true at p and false at the float below it."""
+    return holds(p) and not holds(math.nextafter(p, 0.0))
+
+
+def contract_cases(case):
+    """The oracle cases, plus GHZ on the d=2 (3,2)-POVM at r_max over
+    N in {5, 10, 50} and k in {-3, 0, 2}."""
+    if case != "ghz-232-k":
+        yield from oracle_cases(case)
+        return
+    m = build_stpovm(gell_mann_basis(2), 3, 2)
+    for n in (5, 10, 50):
+        for k in (-3, 0, 2):
+            yield ghz_qudit(2, n), m, k
+
+
+def _check_first_floats(family, m, quantity, k):
+    """Wherever 0 < p* < 1, p* is the least float at which the verdict is
+    violated; each inner endpoint of a violation interval is the first float
+    past its switch.  Returns the number of floats checked."""
+    violated = _violated(family, m, quantity, k)
+    where = (family.kind, family.n, k, quantity)
+    try:
+        p_star = threshold_p(family, m, quantity, k)
+    except NonMonotoneIndicatorError as exc:
+        checked = 0
+        for lo, hi in exc.intervals:
+            if lo > 0.0:
+                assert _first_at(violated, lo), (where, lo)
+                checked += 1
+            if hi < 1.0:
+                assert _first_at(lambda p: not violated(p), hi), (where, hi)
+                checked += 1
+        return checked
+    if p_star is None or not 0.0 < p_star < 1.0:
+        return 0
+    assert _first_at(violated, p_star), (where, p_star)
+    return 1
+
+
+@pytest.mark.parametrize("case", ORACLE_FAMILIES + ["ghz-232-k"], ids=str)
+def test_threshold_is_least_violated_float(case):
+    """The verdict holds at p* and not at math.nextafter(p*, 0), for every
+    oracle case and quantity; at (d,s,t) = (2,3,2), GHZ N=5, k=-3 the QFI
+    threshold once sat 2 ulps below the first violated float."""
+    for family, m, k in contract_cases(case):
+        for quantity in ORACLE_QUANTITIES:
+            _check_first_floats(family, m, quantity, k)
+
+
+def test_violation_interval_endpoints_are_first_floats(m19, m14, monkeypatch):
+    """The endpoints that NonMonotoneIndicatorError reports follow the same
+    contract: one left interval on GHZ, two intervals on |000>."""
+    _with_v_bound(monkeypatch, m19.beta * 14.0 + VERDICT_MARGIN)
+    assert _check_first_floats(ghz_qudit(3, 4), m19, VARIANCE, -1) == 1
+    _with_v_bound(monkeypatch, m14.beta * 4.75 + VERDICT_MARGIN)
+    assert _check_first_floats(custom_state([2, 2, 2], np.eye(8)[0]), m14, VARIANCE, 0) == 2
+
+
+def test_threshold_computes_moments_once_per_family(m19, monkeypatch):
+    """Three thresholds on one family compute its generator moments once."""
+    calls = []
+    real = states.collective_moments_from_rdms
+    monkeypatch.setattr(states, "collective_moments_from_rdms",
+                        lambda *args: calls.append(1) or real(*args))
+    family = ghz_qudit(3, 10)
+    for quantity in (QFI, WYD_HALF, VARIANCE):
+        threshold_p(family, m19, quantity, -7)
+    assert len(calls) == 1
+
+
+def test_custom_amplitudes_are_a_frozen_copy():
+    """The moments a custom family caches cannot go stale: it keeps a
+    read-only copy of the caller's amplitudes."""
+    vec = np.eye(8, dtype=complex)[0]
+    family = custom_state([2, 2, 2], vec)
+    vec[[0, 7]] = 2 ** -0.5
+    assert np.array_equal(family.amplitudes, np.eye(8)[0])
+    with pytest.raises(ValueError):
+        family.amplitudes[0] = 0.0
 
 
 @pytest.mark.parametrize("d,s,t", [(2, 1, 4), (3, 1, 9)])

@@ -23,6 +23,21 @@ def test_check_hermitian_accepts_and_rejects():
         check_hermitian(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_non_finite_entries_rejected(bad, where):
+    """A NaN or inf entry, on the diagonal or off it (mirrored, so the
+    matrix looks Hermitian), fails the Hermiticity gate instead of passing
+    it with a NaN deviation; a density matrix holding one is rejected."""
+    a = np.eye(2, dtype=complex) / 2
+    a[where] = bad
+    a[where[::-1]] = np.conj(bad)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_hermitian(a)
+    with pytest.raises(ValueError):
+        DensityMatrix((2,), a)
+
+
 def test_hs_inner_matches_trace(rng):
     a = random_hermitian(rng, 4)
     b = random_hermitian(rng, 4)

@@ -96,11 +96,34 @@ def test_custom_state_roundtrip(tmp_path, rng):
     assert fam.rdm1 is None and fam.rdm2 is None
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"site_dims": [2], "amplitudes": [[float("nan"), 0.0], [0.0, 0.0]]}, "norm is nan"),
+    ({"site_dims": [2], "amplitudes": [[1.0, 0.0], [float("inf"), 0.0]]}, "norm is inf"),
+    ({"site_dims": [2], "amplitudes": [[True, 0.0], [0.0, 0.0]]}, "JSON numbers, not bool"),
+    ({"site_dims": [2], "amplitudes": [["1", 0.0], [0.0, 0.0]]}, "JSON numbers, not str"),
+    ({"site_dims": [2], "amplitudes": [[1.0], [0.0, 0.0]]}, "pairs"),
+    ({"site_dims": [2.0], "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}, "JSON integers"),
+    ({"site_dims": [True], "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}, "JSON integers"),
+    ({"amplitudes": [[1.0, 0.0], [0.0, 0.0]]}, "lacks 'site_dims'"),
+    ({}, "lacks 'site_dims', 'amplitudes'"),
+    ([2], "JSON object"),
+])
+def test_state_file_rejects_malformed_input(tmp_path, doc, message):
+    """A non-finite, non-number or misshapen amplitude, a non-integer site
+    dimension, or a missing key is a ValueError that names it."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_state_file(path)
+
+
 def test_custom_state_validation(rng):
     with pytest.raises(ValueError):
         custom_state([2, 3], np.ones(6) / np.sqrt(6))  # non-uniform dims
     with pytest.raises(ValueError):
         custom_state([2, 2], np.ones(4))  # not normalized
+    with pytest.raises(ValueError, match="norm is nan"):
+        custom_state([2], np.array([np.nan, 1.0]))
 
 
 def test_effect_moments_fast_vs_dense(rng):

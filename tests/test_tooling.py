@@ -1,8 +1,10 @@
 """The benchmark's tracer and workloads bind program functions by name; keep
 them resolvable and callable, and keep the import cost of every CLI call small."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from kstretch import cli
 from oracles import paper_bound_i, paper_bound_v
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -84,3 +87,21 @@ def test_no_scipy_import():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_tracer_counts_threshold_lhs_evaluations():
+    """Every LHS evaluation of the threshold solver goes through
+    `criterion_lhs_isotropic`, so the tracer's lhs_evals_per_threshold sees
+    the solver's cost: nonzero, and at most 70 on the benchmark's sweep."""
+    tracer = load_perfbench("tracer").Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["threshold", "--family", "ghz", "--d", "3", "--n", "10", "--n", "20",
+                          "--n", "30", "--n", "40", "--n", "50", "--f", "all"])
+    finally:
+        tracer.uninstall()
+    assert exc.value.code == 0
+    metrics = tracer.take().metrics()
+    assert 0 < metrics["criteria.lhs_evals_per_threshold"] <= 70, metrics
