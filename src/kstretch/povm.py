@@ -128,6 +128,8 @@ class SymmetricMeasurement:
     def from_json_dict(cls, doc: dict) -> "SymmetricMeasurement":
         """Rebuild and re-certify a measurement; any stored "certification"
         block is ignored, so a file cannot vouch for itself."""
+        if not isinstance(doc, dict):
+            raise ValueError("a measurement document must hold a JSON object")
         missing = [key for key in ("d", "s", "t", "r", "chi", "effects") if key not in doc]
         if missing:
             raise ValueError(f"measurement document lacks {', '.join(map(repr, missing))}")

@@ -98,6 +98,8 @@ def antisymmetric_state(n: int) -> IsotropicFamily:
 def custom_state(site_dims: list[int], amplitudes: np.ndarray) -> IsotropicFamily:
     """A user-supplied pure state; its moments come from the state vector,
     so the family is restricted to dense-feasible uniform-dimension systems."""
+    if any(isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in site_dims):
+        raise ValueError(f"site dimensions must be integers, got {site_dims!r}")
     dims = tuple(int(x) for x in site_dims)
     if len(set(dims)) != 1:
         raise ValueError(f"site dimensions must be uniform, got {dims}")

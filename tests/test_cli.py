@@ -416,3 +416,123 @@ def test_output_file(runner, tmp_path):
         "--output", str(path)])
     assert result.exit_code == 0, result.output
     assert path.read_text().split("\n")[1] == CSV_HEADER
+
+
+@pytest.mark.parametrize("command,override,flags", [
+    (["threshold"], {"n": [5]}, ["--n", "5"]),
+    (["threshold", "--f", "qfi"], {"n": 7, "k": -1}, ["--n", "7", "--k", "-1"]),
+    (["criteria", "--n", "3", "--p", "1"], {"k": 0}, ["--k", "0"]),
+    (["partitions", "--k", "-2"], {"n": 5, "diagrams": True}, ["--n", "5", "--diagrams"]),
+    (["povm", "--output", "{out}"], {"d": 2, "s": 3, "t": 2}, ["--d", "2", "--s", "3", "--t", "2"]),
+])
+def test_config_supplies_required_options(runner, tmp_path, command, override, flags):
+    """A config file supplies any option left off the command line, a
+    required one too, and the output equals that of the same flags."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    outputs = []
+    for extra in (["--config", str(cfg)], flags):
+        out = tmp_path / f"out{len(outputs)}.json"
+        args = [str(out) if a == "{out}" else a for a in command]
+        result = runner.invoke(main, args + extra)
+        assert result.exit_code == 0, result.output
+        outputs.append(result.output.replace(str(out), "OUT"))
+        if out.exists():
+            outputs.append(out.read_text().replace(str(out), "OUT"))
+    assert outputs[:len(outputs) // 2] == outputs[len(outputs) // 2:]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[1]", "{path} must hold a JSON object"), ('{"d": ', "{path} is not JSON"),
+    ("", "{path} is not JSON"), ('{"bogus": 1}', "unknown config key 'bogus'")])
+def test_malformed_config_is_usage_error(runner, tmp_path, text, message):
+    """A config file that is not JSON, not a JSON object, or names no option
+    is a usage error (exit 2) about --config, never a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    result = runner.invoke(main, ["povm", "--d", "2", "--s", "1", "--t", "4",
+                                  "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert ("Error: Invalid value for '--config': " + message.format(path=repr(str(cfg)))
+            in result.output)
+
+
+@pytest.mark.parametrize("value", ["wydzzz", "qfix", "variances", "WYD"])
+@pytest.mark.parametrize("command", ["criteria", "threshold"])
+def test_f_accepts_only_documented_values(runner, monkeypatch, command, value):
+    """--f is qfi, wyd, wyd:<omega>, variance or all; anything else is a usage
+    error found before any measurement is built."""
+    monkeypatch.setattr(cli, "_build_measurement", lambda *a: pytest.fail("measurement built"))
+    args = [command, "--n", "5", "--f", value]
+    result = runner.invoke(main, args + (["--k", "0", "--p", "1"] if command == "criteria" else []))
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value: unknown quantity {value!r}" in result.output
+
+
+# every param of every command, in order, as declared before the shared
+# options were declared once: (name, opts, type, default, required, multiple, is_flag)
+OPTION_TABLE = {
+    "povm": [
+        ("d", ("--d",), "Int", None, True, False, False),
+        ("s", ("--s",), "Int", None, True, False, False),
+        ("t", ("--t",), "Int", None, True, False, False),
+        ("r", ("--r",), "String", "max", False, False, False),
+        ("output", ("--output",), "Path", None, False, False, False),
+        ("config", ("--config",), "Path", None, False, False, False),
+    ],
+    "criteria": [
+        ("family", ("--family",), "Choice", "ghz", False, False, False),
+        ("state_file", ("--state-file",), "Path", None, False, False, False),
+        ("d", ("--d",), "Int", 3, False, False, False),
+        ("n", ("--n", "--N"), "Int", None, True, False, False),
+        ("k", ("--k",), "Int", None, True, False, False),
+        ("s", ("--s",), "Int", 1, False, False, False),
+        ("t", ("--t",), "Int", 9, False, False, False),
+        ("r", ("--r",), "String", "max", False, False, False),
+        ("p", ("--p",), "Float", None, False, True, False),
+        ("p_range", ("--p-range",), "String", None, False, False, False),
+        ("f_choice", ("--f",), "String", "all", False, False, False),
+        ("out_format", ("--format",), "Choice", "csv", False, False, False),
+        ("output", ("--output",), "Path", None, False, False, False),
+        ("config", ("--config",), "Path", None, False, False, False),
+    ],
+    "threshold": [
+        ("family", ("--family",), "Choice", "ghz", False, False, False),
+        ("state_file", ("--state-file",), "Path", None, False, False, False),
+        ("d", ("--d",), "Int", 3, False, False, False),
+        ("n", ("--n", "--N"), "Int", None, True, True, False),
+        ("k", ("--k",), "Int", None, False, False, False),
+        ("s", ("--s",), "Int", 1, False, False, False),
+        ("t", ("--t",), "Int", 9, False, False, False),
+        ("r", ("--r",), "String", "max", False, False, False),
+        ("f_choice", ("--f",), "String", "all", False, False, False),
+        ("out_format", ("--format",), "Choice", "csv", False, False, False),
+        ("output", ("--output",), "Path", None, False, False, False),
+        ("config", ("--config",), "Path", None, False, False, False),
+    ],
+    "partitions": [
+        ("n", ("--n", "--N"), "Int", None, True, False, False),
+        ("k", ("--k",), "Int", None, True, False, False),
+        ("d", ("--d",), "Int", 3, False, False, False),
+        ("s", ("--s",), "Int", 1, False, False, False),
+        ("t", ("--t",), "Int", 9, False, False, False),
+        ("r", ("--r",), "String", "max", False, False, False),
+        ("diagrams", ("--diagrams",), "Bool", False, False, False, True),
+        ("config", ("--config",), "Path", None, False, False, False),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(OPTION_TABLE))
+def test_option_table_unchanged(command):
+    """Declaring the shared options once changed no option's name, flags,
+    type, default, requiredness or order, and every command takes --config."""
+    params = main.commands[command].params
+    table = []
+    for param in params:
+        info = param.to_info_dict()
+        table.append((param.name, tuple(param.opts), info["type"]["param_type"],
+                      info["default"], param.required, param.multiple,
+                      bool(getattr(param, "is_flag", False))))
+    assert table == OPTION_TABLE[command]
+    assert [param.opts for param in params].count(["--config"]) == 1

@@ -342,3 +342,11 @@ def test_bool_or_huge_effect_entry_rejected(m14, value, match):
     doc["effects"][u][v][e][part] = value
     with pytest.raises(ValueError, match=match):
         SymmetricMeasurement.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("text", ["5", "[1]", "null", '"d"'])
+def test_non_object_document_rejected(text):
+    """A measurement document that is not a JSON object is a ValueError, not
+    a TypeError from looking up its keys."""
+    with pytest.raises(ValueError, match="must hold a JSON object"):
+        SymmetricMeasurement.from_json(text)

@@ -170,3 +170,18 @@ def test_effect_moments_finite_at_large_n(m19):
                for q in (QFI, VARIANCE)]
     assert np.all(np.isfinite([moments.s1, moments.s2]))
     assert np.all(np.isfinite(lhs))
+
+
+@pytest.mark.parametrize("site_dims", [[2.7, True * 2], [True, 2], [2, 2.0], [np.bool_(True), 2],
+                                       ["2", 2]])
+def test_custom_state_rejects_non_integer_dims(site_dims):
+    """A bool or non-integral site dimension is a ValueError, never
+    truncated by int() into a different system."""
+    with pytest.raises(ValueError, match="site dimensions must be integers"):
+        custom_state(site_dims, np.ones(4) / 2)
+
+
+def test_custom_state_accepts_numpy_integer_dims():
+    fam = custom_state(np.array([2, 2]), np.ones(4) / 2)
+    assert (fam.d, fam.n) == (2, 2)
+    assert (type(fam.d), type(fam.n)) == (int, int)
