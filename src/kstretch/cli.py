@@ -68,9 +68,11 @@ def parse_f(value: str) -> list:
     raise click.BadParameter(f"unknown quantity {value!r}")
 
 
-def _as_arg(value):
+def _as_arg(name: str, value):
     """A JSON config value as the text it stands for on the command line."""
-    return value if value is None or isinstance(value, str) else json.dumps(value)
+    if value is None:  # no flag stands for null
+        raise click.BadParameter(f"config key {name!r} is null")
+    return value if isinstance(value, str) else json.dumps(value)
 
 
 def _load_config(ctx: click.Context, param: click.Parameter, path: Optional[str]) -> None:
@@ -95,8 +97,8 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: Optional[str]
             raise click.BadParameter(f"unknown config key {name!r}")
         if params[name].multiple and not isinstance(value, list):
             value = [value]
-        ctx.default_map[name] = ([_as_arg(v) for v in value] if params[name].multiple
-                                 else _as_arg(value))
+        ctx.default_map[name] = ([_as_arg(name, v) for v in value] if params[name].multiple
+                                 else _as_arg(name, value))
 
 
 def _options(*decorators):
@@ -190,8 +192,14 @@ def cmd_povm(ctx, d, s, t, r, output):
 
 def _p_values(p: tuple[float, ...], p_range: Optional[str]) -> list[float]:
     if p_range:
-        start, stop, count = p_range.split(":")
-        values = [float(x) for x in np.linspace(float(start), float(stop), int(count))]
+        try:
+            start, stop, count = p_range.split(":")
+            values = [float(x) for x in np.linspace(float(start), float(stop), int(count))]
+        except ValueError:  # a wrong form, or a negative count
+            values = []
+        if not values:
+            raise click.BadParameter(f"{p_range!r} is not START:STOP:COUNT with COUNT >= 1",
+                                     param_hint="'--p-range'")
     elif p:
         values = sorted(float(x) for x in p)
     else:
@@ -207,8 +215,6 @@ def _criteria_json(cfg: dict, reports: list) -> str:
     for one sweep: its shared fields are encoded once into a row template, and
     its numbers by one call to the C encoder, which indent=2 never uses."""
     head = json.dumps({"config": cfg, "rows": []}, indent=2)
-    if not reports:
-        return head + "\n"
     template = "    {\n" + ",\n".join(
         f'      "{key}": ' + (json.dumps(value) if key in SWEEP_SHARED else "%s")
         for key, value in reports[0].to_json_dict().items()) + "\n    }"
@@ -225,14 +231,13 @@ def _criteria_json(cfg: dict, reports: list) -> str:
 
 def _criteria_csv(cfg: dict, reports: list) -> str:
     """CSV for one sweep: each row fills a template holding its shared fields."""
+    shared = reports[0].to_json_dict()
+    template = ",".join(fmt(shared[key]) if key in SWEEP_SHARED else "%s"
+                        for key in CSV_HEADER.split(","))
     lines = [f"# config = {json.dumps(cfg)}", CSV_HEADER]
-    if reports:
-        shared = reports[0].to_json_dict()
-        template = ",".join(fmt(shared[key]) if key in SWEEP_SHARED else "%s"
-                            for key in CSV_HEADER.split(","))
-        lines += [template % (rep.f_label, *map(fmt, (rep.p, rep.lhs_skew, rep.violated_skew,
-                                                      rep.lhs_var, rep.violated_var)))
-                  for rep in reports]
+    lines += [template % (rep.f_label, *map(fmt, (rep.p, rep.lhs_skew, rep.violated_skew,
+                                                  rep.lhs_var, rep.violated_var)))
+              for rep in reports]
     return "\n".join(lines) + "\n"
 
 

@@ -6,8 +6,8 @@ B^(ut) = (sqrt(t)+1) C^(u) with C^(u) the group sum, then
 A^(uv) = 1/t + r B^(uv), held as one read-only (s, t, d, d) array.  All
 symmetry identities are verified at construction time; a measurement
 object that exists is certified, and keeps the residuals it was
-certified with.  A JSON file encodes each distinct [re, im] entry once
-and decodes in one `np.array` call.
+certified with.  A JSON file holds each distinct [re, im] entry once, in
+"values", and the effects as an (s, t, d^2) array of indices into it.
 """
 
 from __future__ import annotations
@@ -105,24 +105,18 @@ class SymmetricMeasurement:
         return {"d": self.d, "s": self.s, "t": self.t, "r": self.r, "chi": self.chi}
 
     def to_json_dict(self) -> dict:
-        pairs = _stacked(self).view(float).reshape(self.s, self.t, -1, 2)
-        return {**self._scalars(), "effects": pairs.tolist()}
+        # distinct by bit pattern, so -0.0 and 0.0 keep their own entries
+        keys, index = np.unique(_stacked(self).view("V16").ravel(), return_inverse=True)
+        return {**self._scalars(), "values": keys.view(float).reshape(-1, 2).tolist(),
+                "effects": index.reshape(self.s, self.t, -1).tolist()}
 
     def to_json(self, **extra) -> str:
-        """The text of `json.dumps({**self.to_json_dict(), **extra})`, with
-        each distinct [re, im] pair encoded once and joined by its index."""
-        scalars = self._scalars()
-        if extra.keys() & {*scalars, "effects"}:
+        """`json.dumps({**self.to_json_dict(), **extra})`; no extra key may
+        replace one of the measurement's own."""
+        doc = self.to_json_dict()
+        if extra.keys() & doc.keys():
             raise ValueError(f"extra keys {sorted(extra)} clash with the measurement's")
-        # distinct by bit pattern, so -0.0 and 0.0 keep their own text
-        keys, index = np.unique(_stacked(self).view("V16").ravel(), return_inverse=True)
-        words = np.array([json.dumps(p) for p in keys.view(float).reshape(-1, 2).tolist()],
-                         dtype=object)
-        cells = words[index].reshape(self.s, self.t, -1).tolist()
-        rows = ", ".join("[" + ", ".join("[" + ", ".join(a) + "]" for a in row) + "]"
-                         for row in cells)
-        tail = ", " + json.dumps(extra)[1:] if extra else "}"
-        return f'{json.dumps(scalars)[:-1]}, "effects": [{rows}]{tail}'
+        return json.dumps({**doc, **extra})
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SymmetricMeasurement":
@@ -130,7 +124,7 @@ class SymmetricMeasurement:
         block is ignored, so a file cannot vouch for itself."""
         if not isinstance(doc, dict):
             raise ValueError("a measurement document must hold a JSON object")
-        missing = [key for key in ("d", "s", "t", "r", "chi", "effects") if key not in doc]
+        missing = [k for k in ("d", "s", "t", "r", "chi", "values", "effects") if k not in doc]
         if missing:
             raise ValueError(f"measurement document lacks {', '.join(map(repr, missing))}")
         for key in ("d", "s", "t", "r", "chi"):
@@ -138,20 +132,33 @@ class SymmetricMeasurement:
             if isinstance(doc[key], bool) or not isinstance(doc[key], types):
                 raise ValueError(f"{key!r} must be a JSON {kind}, not {doc[key]!r}")
         d, s, t = doc["d"], doc["s"], doc["t"]
-        cells = np.array(doc["effects"], dtype=object)  # the entries themselves, unconverted
-        if cells.shape != (s, t, d * d, 2):
-            raise ValueError(f"effects have shape {cells.shape}, not {(s, t, d * d, 2)}")
+        values = json_floats(doc["values"], "values").view(complex).ravel()
+        if not np.isfinite(values).all():
+            raise ConstructionError("every entry of 'values' must be finite")
+        cells = np.array(doc["effects"], dtype=object)
+        if cells.shape != (s, t, d * d):
+            raise ValueError(f"effects have shape {cells.shape}, not {(s, t, d * d)}")
+        index = cells.ravel().tolist()
+        kinds = set(map(type, index)) - {int}  # exact types: a bool is an int subclass
+        if kinds:
+            raise ValueError("'effects' must hold JSON integers, not "
+                             f"{', '.join(sorted(k.__name__ for k in kinds))} entries")
+        if not 0 <= min(index, default=0) <= max(index, default=0) < len(values):
+            raise ValueError(f"'effects' must hold indices in [0, {len(values)})")
         return cls(d, s, t, float(doc["r"]), float(doc["chi"]),
-                   json_floats(cells, "effects").view(complex).reshape(s, t, d, d))
+                   values[np.array(index, dtype=int)].reshape(s, t, d, d))
 
     @classmethod
     def from_json(cls, text: str) -> "SymmetricMeasurement":
         return cls.from_json_dict(json.loads(text))
 
 
-def json_floats(cells: np.ndarray, key: str) -> np.ndarray:
-    """An object array of decoded JSON entries as floats; ValueError naming
-    `key` unless every entry is a JSON number within float range."""
+def json_floats(pairs, key: str) -> np.ndarray:
+    """A decoded JSON list of [re, im] number pairs as an (n, 2) float array;
+    ValueError naming `key` for another shape, a non-number or an overflow."""
+    cells = np.array(pairs, dtype=object)  # the entries themselves, unconverted
+    if cells.ndim != 2 or cells.shape[1] != 2:
+        raise ValueError(f"{key!r} must be [re, im] pairs, not shape {cells.shape}")
     # exact types: a bool is an int subclass that np.array would upcast
     kinds = set(map(type, cells.ravel().tolist()))
     if not kinds <= {float, int}:
@@ -190,15 +197,10 @@ def build_stpovm(basis: OperatorBasis, s: int, t: int,
     d = basis.d
     b_ops = build_b_operators(basis)
     r_neg, r_pos = r_range(b_ops)
-    if r == "max":
-        r_val = max(abs(r_neg), r_pos)
-    else:
-        r_val = float(r)
+    r_val = max(abs(r_neg), r_pos) if r == "max" else float(r)
     slack = 1e-12 * max(abs(r_neg), r_pos)
     if r_val == 0 or not (r_neg - slack <= r_val <= r_pos + slack):
-        raise PositivityError(
-            f"r={r_val} outside admissible range [{r_neg}, {r_pos}]"
-        )
+        raise PositivityError(f"r={r_val} outside admissible range [{r_neg}, {r_pos}]")
     effects = np.eye(d, dtype=complex) / t + r_val * b_ops
     return SymmetricMeasurement(d, s, t, r_val, chi_of_r(d, t, r_val), effects,
                                 (r_neg, r_pos))
@@ -254,9 +256,7 @@ def _certify_or_raise(m: SymmetricMeasurement) -> dict[str, float]:
     lo = m.d / m.t**2
     hi = min(m.d**2 / m.t**2, m.d / m.t)
     if not (lo < m.chi <= hi + SYMMETRY_TOL):
-        raise ConstructionError(
-            f"chi={m.chi} outside ({lo}, {hi}]"
-        )
+        raise ConstructionError(f"chi={m.chi} outside ({lo}, {hi}]")
     res = certification_residuals(m)
     if not (res["min_effect_eigenvalue"] >= -EFFECT_PSD_TOL):
         raise PositivityError(

@@ -132,10 +132,8 @@ def load_state_file(path) -> IsotropicFamily:
     dims = doc["site_dims"]
     if not isinstance(dims, list) or any(type(x) is not int for x in dims):
         raise ValueError(f"'site_dims' must be a list of JSON integers, not {dims!r}")
-    cells = np.array(doc["amplitudes"], dtype=object)
-    if cells.ndim != 2 or cells.shape[1] != 2:
-        raise ValueError(f"'amplitudes' must be [re, im] pairs, not shape {cells.shape}")
-    return custom_state(dims, json_floats(cells, "amplitudes").view(complex).ravel())
+    amplitudes = json_floats(doc["amplitudes"], "amplitudes").view(complex).ravel()
+    return custom_state(dims, amplitudes)
 
 
 def state_vector(family: IsotropicFamily) -> np.ndarray:

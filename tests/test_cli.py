@@ -178,7 +178,6 @@ WRITER_CASES = {
     "variance-null-skew": D2 + ["--f", "variance", "--p", "0.2", "--p", "0.9"],
     "wyd-0.3": D2 + ["--f", "wyd:0.3", "--p-range", "0:1:5"],
     "signed-zeros": D2 + ["--p", "-0.0", "--p", "0.0", "--p", "1"],
-    "no-rows": D2 + ["--p-range", "0:1:0"],
     "state-file": ["--family", "file", "--state-file", "{state}", "--n", "3", "--k", "0",
                    "--s", "3", "--t", "2", "--p", "0.5", "--p", "1"],
 }
@@ -203,7 +202,7 @@ def test_criteria_writers_match_oracles(runner, monkeypatch, tmp_path, case, out
     reports, cfg = seen
     oracle = _json_oracle if out_format == "json" else _csv_oracle
     assert result.output == oracle(cfg, reports)
-    assert bool(reports) == (case != "no-rows")
+    assert reports
     if case == "variance-null-skew":
         assert all(rep.lhs_skew is None for rep in reports)
     if case == "state-file":
@@ -374,6 +373,36 @@ def test_config_value_of_wrong_type_is_usage_error(runner, tmp_path, override, o
     assert result.exit_code == 2, result.output
     assert "Error: Invalid value" in result.output and option in result.output
     assert not isinstance(result.exception, (TypeError, AttributeError))
+
+
+@pytest.mark.parametrize("command,override", [
+    (["criteria", "--n", "3", "--k", "0"], {"p": None}),
+    (["criteria", "--n", "3", "--k", "0"], {"p": [None]}),
+    (["criteria", "--n", "3", "--k", "0"], {"p": [0.5, None]}),
+    (["criteria", "--n", "3", "--k", "0", "--p", "1"], {"d": None}),
+    (["threshold"], {"n": None}),
+    (["povm", "--s", "1", "--t", "4"], {"d": None})])
+def test_config_null_is_usage_error(runner, tmp_path, command, override):
+    """A JSON null stands for no flag: for a scalar or a `multiple` option it
+    is a usage error (exit 2) naming the key, never a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    result = runner.invoke(main, command + ["--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    key = next(iter(override))
+    assert f"Error: Invalid value for '--config': config key '{key}' is null" in result.output
+
+
+@pytest.mark.parametrize("p_range", ["0:1", "0:1:abc", "0:1:0", "0:1:-2", "a:1:3",
+                                     "0:1:2:3", "0:1:2.5"])
+def test_p_range_form_checked(runner, monkeypatch, p_range):
+    """--p-range is START:STOP:COUNT with COUNT >= 1; any other form is a
+    usage error (exit 2) naming it, found before any measurement is built."""
+    monkeypatch.setattr(cli, "_build_measurement", lambda *a: pytest.fail("measurement built"))
+    result = runner.invoke(main, ["criteria", "--n", "3", "--k", "0", "--p-range", p_range])
+    assert result.exit_code == 2, result.output
+    assert (f"Error: Invalid value for '--p-range': {p_range!r} is not START:STOP:COUNT "
+            "with COUNT >= 1") in result.output
 
 
 def test_config_values_cast_like_flags(runner, tmp_path):

@@ -125,6 +125,7 @@ def test_json_roundtrip(catalogue):
     assert len(catalogue) == 48
     for m in catalogue:
         rebuilt = SymmetricMeasurement.from_json(m.to_json())
+        assert rebuilt == m
         assert (rebuilt.d, rebuilt.s, rebuilt.t, rebuilt.r, rebuilt.chi) == \
             (m.d, m.s, m.t, m.r, m.chi)
         for a, b in zip(m.iter_effects(), rebuilt.iter_effects(), strict=True):
@@ -132,8 +133,8 @@ def test_json_roundtrip(catalogue):
 
 
 def test_to_json_matches_dumps_of_dict(catalogue):
-    """The interning encoder writes the text `json.dumps` gives for the whole
-    document, `to_json_dict` being the oracle."""
+    """`to_json` writes the text `json.dumps` gives for `to_json_dict` with the
+    extras after it, and refuses an extra key that would replace its own."""
     config = {"d": 3, "output": "m.json", "r": "max", "t": [1, 2.5]}
     for m in catalogue:
         assert m.to_json() == json.dumps(m.to_json_dict())
@@ -145,7 +146,7 @@ def test_to_json_matches_dumps_of_dict(catalogue):
 
 def test_to_json_keeps_signed_zeros_and_ulp_neighbours_apart(m14):
     """Entries are interned by bit pattern: 0.0 and -0.0, and two values one
-    ulp apart, each keep their own text."""
+    ulp apart, each keep their own entry in "values" and their own text."""
     effects = m14.effects.copy()
     x = float(effects[0, 1, 0, 0].real)
     y = float(np.nextafter(x, 1.0))
@@ -156,8 +157,9 @@ def test_to_json_keeps_signed_zeros_and_ulp_neighbours_apart(m14):
     m = _uncertified(m14, effects)
     text = m.to_json()
     assert text == json.dumps(m.to_json_dict())
+    values = {tuple(map(float.hex, pair)) for pair in json.loads(text)["values"]}
     for pair in ([0.0, -0.0], [-0.0, 0.0], [x, y], [y, x]):
-        assert json.dumps(pair) in text
+        assert json.dumps(pair) in text and tuple(map(float.hex, pair)) in values
 
 
 def test_residuals_stored_and_never_loaded(m14):
@@ -170,24 +172,35 @@ def test_residuals_stored_and_never_loaded(m14):
     assert rebuilt.residuals["completeness"] >= 0.0
 
 
+def _repointed(doc, u, v, e, part, delta):
+    """A copy of `doc` whose effect entry (u, v, e) alone reads its [re, im]
+    pair with `delta` added to one part, through a value appended for it."""
+    doc = json.loads(json.dumps(doc))
+    pair = list(doc["values"][doc["effects"][u][v][e]])
+    pair[part] += delta
+    doc["values"].append(pair)
+    doc["effects"][u][v][e] = len(doc["values"]) - 1
+    return doc
+
+
 def test_malformed_effect_lists_rejected(m14):
     doc = m14.to_json_dict()
     ragged = json.loads(json.dumps(doc))
-    ragged["effects"][0][1][2] = [0.1]
+    ragged["effects"][0][1][2] = [0]
     short = json.loads(json.dumps(doc))
     del short["effects"][0][1][-1]
     long = json.loads(json.dumps(doc))
-    long["effects"][0][0].append([0.0, 0.0])
+    long["effects"][0][0].append(0)
     triples = json.loads(json.dumps(doc))
-    triples["effects"][0][0] = [[re, im, 0.0] for re, im in triples["effects"][0][0]]
+    triples["effects"][0][0] = [[i, i, i] for i in triples["effects"][0][0]]
     missing_row = json.loads(json.dumps(doc))
     missing_row["effects"][0].pop()
     for bad in (ragged, short, long, triples, missing_row):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="effects"):
             SymmetricMeasurement.from_json_dict(bad)
-    doc["effects"][-1][-1][1][1] += 0.05  # Im A_01 of the last effect only
+    bad = _repointed(doc, -1, -1, 1, 1, 0.05)  # Im A_01 of the last effect only
     with pytest.raises(ValueError, match="not Hermitian"):
-        SymmetricMeasurement.from_json_dict(doc)
+        SymmetricMeasurement.from_json_dict(bad)
 
 
 @pytest.mark.parametrize("key, value", [("r", "NaN"), ("r", "Infinity"), ("r", "-Infinity"),
@@ -196,8 +209,8 @@ def test_non_finite_values_rejected(m14, key, value):
     """`json` reads NaN and Infinity; a file holding one in r, chi or an
     effect entry fails before any eigenvalue is taken."""
     doc = m14.to_json_dict()
-    if key == "entry":
-        doc["effects"][0][2][3][0] = float(value)
+    if key == "entry":  # entry 3 of effect (1, 3) alone reads the value
+        doc = _repointed(doc, 0, 2, 3, 0, float(value))
     else:
         doc[key] = float(value)
     text = json.dumps(doc)
@@ -206,7 +219,7 @@ def test_non_finite_values_rejected(m14, key, value):
         SymmetricMeasurement.from_json(text)
 
 
-@pytest.mark.parametrize("key", ["d", "s", "t", "r", "chi", "effects"])
+@pytest.mark.parametrize("key", ["d", "s", "t", "r", "chi", "effects", "values"])
 def test_missing_key_named(m14, key):
     doc = m14.to_json_dict()
     del doc[key]
@@ -273,8 +286,12 @@ def test_batched_residuals_match_per_effect_reference(catalogue, rng):
 
 
 def test_tampered_effects_rejected(m14):
-    doc = m14.to_json_dict()
-    doc["effects"][0][0][0][0] += 0.05
+    """Re-pointing one index changes exactly one entry of the effects, and
+    the file fails certification."""
+    doc = _repointed(m14.to_json_dict(), 0, 0, 0, 0, 0.05)
+    values = np.array(doc["values"]).view(complex).ravel()
+    changed = values[np.array(doc["effects"])].reshape(m14.effects.shape) != m14.effects
+    assert changed.sum() == 1 and changed[0, 0, 0, 0]
     with pytest.raises(ValueError):
         SymmetricMeasurement.from_json_dict(doc)
 
@@ -295,13 +312,13 @@ def test_equality_and_hash(m14):
 @pytest.mark.parametrize("case", ["strings", "float-d", "bool-s", "bool-r", "str-chi",
                                   "bool-effects"])
 def test_wrong_json_types_rejected(m14, case):
-    """d, s and t must be JSON integers, and r, chi and the effect entries
-    JSON numbers; nothing is converted silently."""
+    """d, s and t must be JSON integers, r, chi and the values JSON numbers,
+    and the effects JSON integer indices; nothing is converted silently."""
     doc = json.loads(m14.to_json())
     if case == "strings":  # every number that can be written as a string
         doc["d"], doc["r"] = str(doc["d"]), str(doc["r"])
-        doc["effects"] = [[[[str(x) for x in pair] for pair in a] for a in row]
-                          for row in doc["effects"]]
+        doc["values"] = [[str(x) for x in pair] for pair in doc["values"]]
+        doc["effects"] = [[[str(i) for i in a] for a in row] for row in doc["effects"]]
         key = "'d'"
     elif case == "float-d":
         doc["d"], key = 2.9, "'d'"
@@ -312,17 +329,21 @@ def test_wrong_json_types_rejected(m14, case):
     elif case == "str-chi":
         doc["chi"], key = str(doc["chi"]), "'chi'"
     else:
-        doc["effects"] = [[[[x != 0 for x in pair] for pair in a] for a in row]
-                          for row in doc["effects"]]
+        doc["effects"] = [[[i != 0 for i in a] for a in row] for row in doc["effects"]]
         key = "'effects'"
     with pytest.raises(ValueError, match=key):
         SymmetricMeasurement.from_json_dict(doc)
 
 
 def test_string_effect_entries_rejected(m14):
+    """One string among the values, or among the indices, is rejected."""
     doc = json.loads(m14.to_json())
-    doc["effects"][0][1][2][0] = str(doc["effects"][0][1][2][0])
-    with pytest.raises(ValueError, match="'effects' must hold JSON numbers"):
+    bad_value = json.loads(json.dumps(doc))
+    bad_value["values"][1][0] = str(bad_value["values"][1][0])
+    with pytest.raises(ValueError, match="'values' must hold JSON numbers, not str"):
+        SymmetricMeasurement.from_json_dict(bad_value)
+    doc["effects"][0][1][2] = str(doc["effects"][0][1][2])
+    with pytest.raises(ValueError, match="'effects' must hold JSON integers"):
         SymmetricMeasurement.from_json_dict(doc)
     assert SymmetricMeasurement.from_json_dict(json.loads(m14.to_json())) == m14
 
@@ -334,14 +355,83 @@ def test_bool_or_huge_effect_entry_rejected(m14, value, match):
     """A JSON false among numbers is not read as 0.0, and an integer entry
     beyond float range fails with a ValueError; a JSON 0 still reads as 0.0."""
     doc = json.loads(m14.to_json())
-    u, v, e, part = next((u, v, e, part) for u, row in enumerate(doc["effects"])
-                         for v, a in enumerate(row) for e, pair in enumerate(a)
-                         for part, x in enumerate(pair) if x == 0.0)
-    doc["effects"][u][v][e][part] = 0
+    i, part = next((i, part) for i, pair in enumerate(doc["values"])
+                   for part, x in enumerate(pair) if repr(x) == "0.0")
+    doc["values"][i][part] = 0
     assert SymmetricMeasurement.from_json_dict(doc) == m14
-    doc["effects"][u][v][e][part] = value
+    doc["values"][i][part] = value
     with pytest.raises(ValueError, match=match):
         SymmetricMeasurement.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("index, match", [
+    (-1, r"indices in \[0, 14\)"), ("len", r"indices in \[0, 14\)"),
+    (10**400, r"indices in \[0, 14\)"), (True, "JSON integers, not bool entries"),
+    (1.0, "JSON integers, not float entries"), ("1", "JSON integers, not str entries")],
+    ids=["negative", "len-values", "huge-int", "bool", "float", "string"])
+def test_bad_index_rejected(m14, index, match):
+    """An index must be a JSON integer in [0, len(values)): numpy would wrap a
+    negative one round to the end of the table, and read a bool as 0 or 1."""
+    doc = json.loads(m14.to_json())
+    doc["effects"][0][1][2] = len(doc["values"]) if index == "len" else index
+    assert len(doc["values"]) == 14
+    with pytest.raises(ValueError, match="'effects' must hold " + match):
+        SymmetricMeasurement.from_json_dict(doc)
+
+
+def test_unreferenced_nan_value_rejected(m14):
+    """A non-finite value fails even when no index points at it."""
+    doc = json.loads(m14.to_json())
+    doc["values"].append([0.0, float("nan")])
+    with pytest.raises(ConstructionError, match="'values' must be finite"):
+        SymmetricMeasurement.from_json_dict(doc)
+    doc["values"][-1] = [0.0, 0.5]  # an unreferenced finite value is harmless
+    assert SymmetricMeasurement.from_json_dict(doc) == m14
+
+
+@pytest.mark.parametrize("case", ["number", "single", "triple", "nested", "all-triples",
+                                  "object"])
+def test_value_not_a_pair_rejected(m14, case):
+    """Each entry of "values" is one [re, im] pair of JSON numbers."""
+    doc = json.loads(m14.to_json())
+    values = doc["values"]
+    if case == "number":
+        values[1] = values[1][0]
+    elif case == "single":
+        values[1] = values[1][:1]
+    elif case == "triple":
+        values[1] = values[1] + [0.0]
+    elif case == "nested":
+        values[1] = [values[1], values[1]]
+    elif case == "all-triples":
+        doc["values"] = [pair + [0.0] for pair in values]
+    else:
+        doc["values"] = {"0": values[0]}
+    match = r"'values' must (be \[re, im\] pairs|hold JSON numbers)"
+    with pytest.raises(ValueError, match=match):
+        SymmetricMeasurement.from_json_dict(doc)
+
+
+def test_nested_pair_layout_rejected(m14):
+    """A file in the earlier layout, each effect entry spelled out as an
+    [re, im] pair, is refused for want of "values": regenerate it."""
+    pairs = m14.effects.view(float).reshape(m14.s, m14.t, -1, 2)
+    doc = {"d": m14.d, "s": m14.s, "t": m14.t, "r": m14.r, "chi": m14.chi,
+           "effects": pairs.tolist()}
+    with pytest.raises(ValueError, match="lacks 'values'$"):
+        SymmetricMeasurement.from_json(json.dumps(doc))
+
+
+def test_catalogue_files_stay_small(catalogue):
+    """Each distinct entry is written once, and every value is referenced:
+    the 48 catalogue files hold 2,033 values for 155,185 entries, 0.57 MB
+    in all (3.1 MB with every entry spelled out); the guard is 1 MB."""
+    texts = [m.to_json() for m in catalogue]
+    assert sum(map(len, texts)) < 1_000_000
+    docs = [json.loads(text) for text in texts]
+    assert sum(np.size(doc["effects"]) for doc in docs) == 155_185
+    for doc in docs:
+        assert np.array_equal(np.unique(doc["effects"]), np.arange(len(doc["values"])))
 
 
 @pytest.mark.parametrize("text", ["5", "[1]", "null", '"d"'])
