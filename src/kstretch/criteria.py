@@ -123,13 +123,15 @@ def evaluate(state: Union[DensityMatrix, IsotropicFamily],
              p: Optional[float] = None) -> CriterionReport:
     """Evaluate both inequalities; f_spec=None skips the skew criterion.
 
-    `state` is a dense DensityMatrix, or an IsotropicFamily together
-    with a mixing weight p (the exact fast path).
+    `state` is a dense DensityMatrix, which takes no p, or an
+    IsotropicFamily together with a mixing weight p (the exact fast path).
     """
     if isinstance(state, IsotropicFamily):
         if p is None:
             raise ValueError("isotropic evaluation requires a mixing weight p")
         return evaluate_sweep(state, m, k, [(f_spec, p)])[0]
+    if p is not None:
+        raise ValueError("a dense state takes no mixing weight p; mix it into the state")
     return _reports(m, state.n_sites, k, [(f_spec, p)],
                     lambda quantity, _: criterion_lhs_dense(state, m, quantity))[0]
 

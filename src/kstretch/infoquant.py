@@ -4,24 +4,21 @@ collective-observable left-hand sides of the detection inequalities.
 Every (s,t)-POVM is a conical 2-design, sum_uv A (x) A = alpha 1 + beta SWAP,
 so each left-hand side is beta times the same sum over the d^2 - 1
 collective Gell-Mann generators G_a.  Two paths evaluate it: a dense path
-that applies each G_a site by site to the eigenvectors of one cached
-eigendecomposition (up to total dimension ~2500; the dense collective
-operators remain as test oracles), and an exact isotropic path for
-p |psi><psi| + (1-p)/D that needs only the generator moments of |psi>."""
+that applies all G_a site by site to the non-flat eigenvectors of one cached
+eigendecomposition, which the flat level needs only through their norms (up
+to total dimension ~2500; the dense collective operators remain as test
+oracles), and an exact isotropic path for p |psi><psi| + (1-p)/D that needs
+only the generator moments of |psi>."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .basis import gell_mann_basis
-from .linalg import (
-    DensityMatrix,
-    EIG_ZERO_TOL,
-    check_hermitian,
-    embed_site,
-)
+from .linalg import DensityMatrix, EIG_ZERO_TOL, check_hermitian, embed_site
 
 DENSE_DIM_LIMIT = 2500
 VARIANCE = "variance"
@@ -101,15 +98,6 @@ def _spectral_split(evals: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     return lam, float(np.mean(evals[flat])), flat
 
 
-def _skew_weights(lam: np.ndarray, flat: np.ndarray,
-                  spec: MonotoneFunctionSpec) -> np.ndarray:
-    """W with skew information sum(W * |X[~flat, :]|^2), X in the eigenbasis.
-    Weights and |X_ij|^2 are symmetric, so pairs (not flat, flat) count twice."""
-    weights = _weight_matrix(lam[~flat], lam, spec)
-    weights[:, flat] *= 2.0
-    return weights
-
-
 def skew_information(rho: DensityMatrix, x: np.ndarray,
                      spec: MonotoneFunctionSpec) -> float:
     """Metric-adjusted skew information of observable x in state rho."""
@@ -117,8 +105,9 @@ def skew_information(rho: DensityMatrix, x: np.ndarray,
     if x.shape[0] != rho.dim:
         raise ValueError(f"observable dimension {x.shape[0]} != {rho.dim}")
     evals, evecs = rho.spectrum
-    weights = _skew_weights(_spectral_split(evals)[0], np.zeros(rho.dim, bool), spec)
-    return float(np.sum(weights * np.abs(evecs.conj().T @ x @ evecs) ** 2))
+    lam = _spectral_split(evals)[0]
+    return float(np.sum(_weight_matrix(lam, lam, spec)
+                        * np.abs(evecs.conj().T @ x @ evecs) ** 2))
 
 
 def variance(rho: DensityMatrix, x: np.ndarray) -> float:
@@ -166,12 +155,25 @@ def collective_moments_from_rdms(rho1: DensityMatrix, rho2: DensityMatrix,
     return CollectiveMoments(s1, float(s2))
 
 
-def _apply_collective(a: np.ndarray, n: int, vecs: np.ndarray) -> np.ndarray:
-    """(A_1 + ... + A_n) @ vecs (a vector or columns), one broadcast matmul
-    per site: O(n d D cols) work and no D x D operator."""
-    d = a.shape[0]
-    return sum((a @ vecs.reshape(d**i, d, vecs.size // d ** (i + 1))).reshape(vecs.shape)
-               for i in range(n))
+@cache
+def _generators(d: int) -> np.ndarray:
+    """The d^2 - 1 Gell-Mann generators as one read-only (d^2 - 1, d, d) array."""
+    gens = np.array(gell_mann_basis(d).ops)
+    gens.flags.writeable = False
+    return gens
+
+
+def _apply_generators(gens: np.ndarray, n: int, v: np.ndarray) -> np.ndarray:
+    """(g_a^(1) + ... + g_a^(n)) v for stacked generators gens (g, d, d) on the
+    columns of v (D, cols): a (g, D, cols) array, one matmul per site."""
+    g, d = gens.shape[:2]
+    rows = gens.reshape(g * d, d)
+    out = np.zeros((g,) + v.shape, dtype=complex)
+    for i in range(n):
+        rest = v.size // d ** (i + 1)
+        site = out.reshape(g, d**i, d, rest)
+        site += (rows @ v.reshape(d**i, d, rest)).reshape(d**i, g, d, rest).swapaxes(0, 1)
+    return out
 
 
 def collective_operator(a: np.ndarray, n: int) -> np.ndarray:
@@ -191,37 +193,37 @@ def criterion_lhs_dense(rho: DensityMatrix, m, quantity) -> float:
     """Sum over all effects of the chosen quantity (a MonotoneFunctionSpec
     or VARIANCE) for the collective effects, as beta times the sum over the
     collective generators G_a (the alpha part of the design meets only equal
-    eigenvalues, which weigh 0).  With the state's cached rho = c 1 +
-    sum_R (lam_k - c) |v_k><v_k| (_spectral_split), G acts site by site on
-    v_k, k in R, only: the skew sum takes the rows (G V_R)^dagger V, the
-    variance Tr rho G^j = c Tr G^j + sum_R (lam_k - c) <v_k|G^j|v_k>, with
-    Tr G = 0 and Tr G^2 = n D / d."""
-    dims = set(rho.site_dims)
-    if dims != {m.d}:
+    eigenvalues, which weigh 0).  Of the cached rho = c 1 + sum_R (lam_k - c)
+    |v_k><v_k| (_spectral_split) only the r non-flat v_k are read.  With
+    n_k = sum_a ||G_a v_k||^2 and B = sum_a |V_R^dag G_a V_R|^2 the flat part of
+    each norm is n_k - sum_j B_jk, so the skew sum is sum W_RR o B + 2 sum_k
+    w(lam_k, flat level) (n_k - sum_j B_jk); the variance uses Tr rho G^j =
+    c Tr G^j + sum_R (lam_k - c) <v_k|G^j|v_k>, Tr G = 0, Tr G^2 = n D / d."""
+    if set(rho.site_dims) != {m.d}:
         raise ValueError(f"site dimensions {rho.site_dims} incompatible with d={m.d}")
-    n = rho.n_sites
     if rho.dim > DENSE_DIM_LIMIT:
-        raise DenseSizeError(
-            f"dense dimension {rho.dim} exceeds limit {DENSE_DIM_LIMIT}"
-        )
+        raise DenseSizeError(f"dense dimension {rho.dim} exceeds limit {DENSE_DIM_LIMIT}")
     evals, evecs = rho.spectrum
     lam, c, flat = _spectral_split(evals)
-    v_rest = np.ascontiguousarray(evecs[:, ~flat])
-    generators = gell_mann_basis(m.d).ops
-    total = 0.0
-    if quantity == VARIANCE:
+    v, gens = np.ascontiguousarray(evecs[:, ~flat]), _generators(m.d)
+    r, skew = v.shape[1], quantity != VARIANCE
+    size = max(1, rho.dim // max(r, 1))  # each group's (size, D, r) image: <= D^2 entries
+    norms, x = np.zeros(r), np.zeros((r, r) if skew else (len(gens), r))
+    for start in range(0, len(gens), size):
+        gv = _apply_generators(gens[start:start + size], rho.n_sites, v)
+        norms += np.sum(np.abs(gv) ** 2, axis=(0, 1))
+        if skew:  # B += |V_R^dag G V_R|^2, one BLAS product per generator
+            x += np.sum(np.abs(np.matmul(v.conj().T, gv)) ** 2, axis=0)
+        else:  # one row <v_k|G|v_k> per generator
+            x[start:start + size] = np.einsum("ik,gik->gk", v.conj(), gv).real
+    if not skew:
         shift = evals[~flat] - c
-        for g in generators:
-            gv = _apply_collective(g, n, v_rest)
-            mean = shift @ np.sum(v_rest.conj() * gv, axis=0).real
-            second = c * rho.dim * n / m.d + shift @ np.sum(np.abs(gv) ** 2, axis=0)
-            total += float(second - mean**2)
-        return m.beta * total
-    weights = _skew_weights(lam, flat, quantity)
-    for g in generators:
-        x_rest = _apply_collective(g, n, v_rest).conj().T @ evecs
-        total += float(np.sum(weights * np.abs(x_rest) ** 2))
-    return m.beta * total
+        second = len(gens) * c * rho.dim * rho.n_sites / m.d + shift @ norms
+        return m.beta * float(second - np.sum((x @ shift) ** 2))
+    lam_r = lam[~flat]
+    w_flat = _weight_matrix(lam_r, np.mean(lam[flat], keepdims=True), quantity)[:, 0]
+    return m.beta * float(np.sum(_weight_matrix(lam_r, lam_r, quantity) * x)
+                          + 2 * w_flat @ (norms - x.sum(axis=0)))
 
 
 def two_level_factor(p: float, d: int, n: int, spec: MonotoneFunctionSpec) -> float:

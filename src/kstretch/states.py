@@ -20,9 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import gell_mann_basis
 from .infoquant import DENSE_DIM_LIMIT, CollectiveMoments, DenseSizeError, \
-    _apply_collective, collective_moments_from_rdms
+    _apply_generators, _generators, collective_moments_from_rdms
 from .linalg import DensityMatrix
 from .povm import json_floats
 
@@ -44,13 +43,9 @@ class IsotropicFamily:
         """Generator moments (s1, s2) of |psi>, computed on first use only."""
         if self.kind != "custom":
             return collective_moments_from_rdms(self.rdm1, self.rdm2, self.n)
-        vec = self.amplitudes
-        s1 = s2 = 0.0
-        for g in gell_mann_basis(self.d).ops:
-            g_vec = _apply_collective(g, self.n, vec)
-            s1 += np.vdot(vec, g_vec).real ** 2
-            s2 += np.vdot(g_vec, g_vec).real
-        return CollectiveMoments(float(s1), float(s2))
+        g_vec = _apply_generators(_generators(self.d), self.n, self.amplitudes[:, None])[..., 0]
+        s1 = np.sum((g_vec @ self.amplitudes.conj()).real ** 2)
+        return CollectiveMoments(float(s1), float(np.vdot(g_vec, g_vec).real))
 
     @property
     def total_dim(self) -> int:

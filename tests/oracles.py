@@ -1,10 +1,13 @@
 """Test oracles: the detection bounds as the paper writes them, in
-(r, chi, s, t), and the single-site effect-square identities.  The program
-computes the bounds from (beta, s/t) instead; these independent forms check
-it."""
+(r, chi, s, t), the single-site effect-square identities, and the dense
+LHS in the full eigenbasis.  The program computes the bounds from
+(beta, s/t) and the dense LHS from the non-flat eigenvectors only; these
+independent forms check it."""
 
 import numpy as np
 
+from kstretch.basis import gell_mann_basis
+from kstretch.infoquant import VARIANCE, _spectral_split, _weight_matrix
 from kstretch.linalg import check_hermitian
 from kstretch.partitions import max_sum_squares
 
@@ -72,3 +75,37 @@ def probability_square_sum_pure(m) -> float:
     """The pure-state value (d-1)(d^2 + t^2 chi) / (d t (t-1))."""
     d, t, chi = m.d, m.t, m.chi
     return (d - 1) * (d**2 + t**2 * chi) / (d * t * (t - 1))
+
+
+def _apply_collective(a: np.ndarray, n: int, vecs: np.ndarray) -> np.ndarray:
+    """(A_1 + ... + A_n) @ vecs (a vector or columns), one broadcast matmul
+    per site."""
+    d = a.shape[0]
+    return sum((a @ vecs.reshape(d**i, d, vecs.size // d ** (i + 1))).reshape(vecs.shape)
+               for i in range(n))
+
+
+def full_basis_lhs_dense(rho, m, quantity) -> float:
+    """The dense LHS in the full eigenbasis: each generator's rows
+    (G V_R)^dagger V against every eigenvector, flat ones included, with
+    the pairs (not flat, flat) counted twice."""
+    n = rho.n_sites
+    evals, evecs = rho.spectrum
+    lam, c, flat = _spectral_split(evals)
+    v_rest = np.ascontiguousarray(evecs[:, ~flat])
+    generators = gell_mann_basis(m.d).ops
+    total = 0.0
+    if quantity == VARIANCE:
+        shift = evals[~flat] - c
+        for g in generators:
+            gv = _apply_collective(g, n, v_rest)
+            mean = shift @ np.sum(v_rest.conj() * gv, axis=0).real
+            second = c * rho.dim * n / m.d + shift @ np.sum(np.abs(gv) ** 2, axis=0)
+            total += float(second - mean**2)
+        return m.beta * total
+    weights = _weight_matrix(lam[~flat], lam, quantity)
+    weights[:, flat] *= 2.0
+    for g in generators:
+        x_rest = _apply_collective(g, n, v_rest).conj().T @ evecs
+        total += float(np.sum(weights * np.abs(x_rest) ** 2))
+    return m.beta * total

@@ -124,6 +124,15 @@ def test_evaluate_requires_p_for_family(m19):
         evaluate(ghz_qudit(3, 3), m19, QFI, k=0)
 
 
+def test_evaluate_rejects_p_for_dense_state(m19):
+    """A dense state carries its own noise: a p would be reported but not
+    applied (GHZ at p=1 reported as p=0.3 and k-nonstretchable)."""
+    rho = materialize_dense(ghz_qudit(3, 3), 1.0)
+    with pytest.raises(ValueError, match="no mixing weight p"):
+        evaluate(rho, m19, QFI, k=0, p=0.3)
+    assert evaluate(rho, m19, QFI, k=0).p is None
+
+
 def test_evaluate_dimension_mismatch(m19):
     """The measurement dimension is checked before any work."""
     with pytest.raises(ValueError, match="state dimension 2 != measurement dimension 3"):

@@ -1,11 +1,15 @@
 """Monotone functions, skew information, variance, collective moments."""
 
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_density, random_hermitian, random_pure
 from kstretch.basis import gell_mann_basis
+from kstretch.criteria import random_kstretchable_density
 from kstretch.infoquant import (
     QFI,
     VARIANCE,
@@ -13,6 +17,7 @@ from kstretch.infoquant import (
     CollectiveMoments,
     DenseSizeError,
     MonotoneFunctionSpec,
+    _spectral_split,
     collective_moments_from_rdms,
     collective_operator,
     criterion_lhs_dense,
@@ -20,9 +25,10 @@ from kstretch.infoquant import (
     skew_information,
     variance,
 )
-from kstretch.linalg import DensityMatrix, kron, partial_trace
+from kstretch.linalg import DensityMatrix, Spectrum, kron, partial_trace
 from kstretch.povm import build_stpovm
-from kstretch.states import antisymmetric_state, effect_moments, ghz_qudit
+from kstretch.states import antisymmetric_state, effect_moments, ghz_qudit, materialize_dense
+from oracles import full_basis_lhs_dense
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -202,3 +208,77 @@ def test_dense_lhs_matches_operator_oracle(m14, m19, d, n, kind, omega, seed):
         assert abs(criterion_lhs_dense(rho, m, spec) - oracle) <= 1e-10, spec
     oracle = sum(variance(rho, big) for big in bigs)
     assert abs(criterion_lhs_dense(rho, m, VARIANCE) - oracle) <= 1e-10
+
+
+LHS_QUANTITIES = (QFI, MonotoneFunctionSpec("wyd", 0.2), WYD_HALF, VARIANCE)
+
+
+def _rank3_kstretchable(rng):
+    """A rank-3 k-stretchable mixture at d=3, N=6 (D=729)."""
+    while True:
+        rho = random_kstretchable_density(rng, 3, 6, -1)
+        if np.sum(rho.spectrum.eigenvalues > 1e-12) == 3:
+            return rho
+
+
+def _equal_rank2(rng, d, n):
+    """(|a><a| + |b><b|)/2, a and b orthonormal: a degenerate non-flat level."""
+    dim = d**n
+    basis = np.linalg.qr(rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)))[0]
+    return DensityMatrix((d,) * n, basis @ basis.conj().T / 2)
+
+
+LHS_STATES = {
+    "rank-3 d=3 N=6": (3, _rank3_kstretchable),
+    "noisy GHZ d=3 N=4": (3, lambda rng: materialize_dense(ghz_qudit(3, 4), 0.7)),
+    "equal-weight rank-2 d=2 N=6": (2, lambda rng: _equal_rank2(rng, 2, 6)),
+    "maximally mixed d=2 N=4": (2, lambda rng: DensityMatrix((2,) * 4, np.eye(16) / 16)),
+    "full rank d=3 N=4": (3, lambda rng: DensityMatrix((3,) * 4, random_density(rng, 81))),
+}
+
+
+@functools.cache
+def lhs_state(name: str) -> DensityMatrix:
+    return LHS_STATES[name][1](np.random.default_rng(20261019))
+
+
+@pytest.mark.parametrize("name", LHS_STATES)
+def test_dense_lhs_matches_full_basis_oracle(m14, m19, name):
+    """The LHS from the non-flat eigenvectors equals the full-eigenbasis sum,
+    whose pairs (not flat, flat) read every flat eigenvector."""
+    m = m14 if LHS_STATES[name][0] == 2 else m19
+    rho = lhs_state(name)
+    for quantity in LHS_QUANTITIES:
+        oracle = full_basis_lhs_dense(rho, m, quantity)
+        got = criterion_lhs_dense(rho, m, quantity)
+        assert abs(got - oracle) <= 1e-12 * abs(oracle), quantity
+
+
+def test_dense_lhs_never_reads_flat_eigenvectors(m19):
+    """Flat eigenvectors set to NaN in the cached spectrum change nothing."""
+    rho = _equal_rank2(np.random.default_rng(3), 3, 4)
+    evals, evecs = rho.spectrum
+    flat = _spectral_split(evals)[2]
+    assert 0 < np.sum(~flat) < flat.size
+    poisoned = DensityMatrix(rho.site_dims, rho.entries)
+    nan_evecs = evecs.copy()
+    nan_evecs[:, flat] = np.nan
+    poisoned.__dict__["spectrum"] = Spectrum(evals, nan_evecs)
+    for quantity in LHS_QUANTITIES:
+        got = criterion_lhs_dense(poisoned, m19, quantity)
+        assert np.isfinite(got) and got == criterion_lhs_dense(rho, m19, quantity), quantity
+
+
+def test_dense_lhs_memory_at_full_rank(m19):
+    """At full rank one call holds at most 6 complex D x D matrices at once."""
+    rho = DensityMatrix((3,) * 5, random_density(np.random.default_rng(5), 243))
+    rho.spectrum  # the cached decomposition is not part of the call
+    unit = 243 * 243 * np.dtype(complex).itemsize
+    for quantity in (QFI, WYD_HALF, VARIANCE):
+        tracemalloc.start()
+        try:
+            criterion_lhs_dense(rho, m19, quantity)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * unit, (quantity, peak / unit)
