@@ -22,6 +22,7 @@ from .infoquant import (
     collective_operator,
     criterion_lhs_dense,
     criterion_lhs_isotropic,
+    generator_terms,
 )
 from .linalg import DensityMatrix
 from .partitions import BoundInputs, bound_i, bound_v, enumerate_kstretch
@@ -132,8 +133,9 @@ def evaluate(state: Union[DensityMatrix, IsotropicFamily],
         return evaluate_sweep(state, m, k, [(f_spec, p)])[0]
     if p is not None:
         raise ValueError("a dense state takes no mixing weight p; mix it into the state")
+    terms = generator_terms(state, m, skew=f_spec is not None)
     return _reports(m, state.n_sites, k, [(f_spec, p)],
-                    lambda quantity, _: criterion_lhs_dense(state, m, quantity))[0]
+                    lambda quantity, _: criterion_lhs_dense(state, m, quantity, terms))[0]
 
 
 def evaluate_sweep(family: IsotropicFamily, m: SymmetricMeasurement, k: int,
@@ -261,14 +263,13 @@ def random_kstretchable_density(rng: np.random.Generator, d: int, n: int,
         raise ValueError(f"no {k}-stretchable partition of {n} exists")
     n_pure = int(rng.integers(1, max_mixture + 1))
     weights = rng.dirichlet(np.ones(n_pure))
-    dim_total = d**n
-    rho = np.zeros((dim_total, dim_total), dtype=complex)
-    for w in weights:
+    vectors = []
+    for _ in weights:
         parts = admissible[rng.integers(len(admissible))]
         vec = np.ones(1, dtype=complex)
         for size in parts:
             block = rng.normal(size=d**size) + 1j * rng.normal(size=d**size)
             block /= np.linalg.norm(block)
             vec = np.kron(vec, block)
-        rho += w * np.outer(vec, vec.conj())
-    return DensityMatrix((d,) * n, rho)
+        vectors.append(vec)
+    return DensityMatrix.from_factor((d,) * n, np.stack(vectors, axis=1), weights)

@@ -5,9 +5,9 @@ Every (s,t)-POVM is a conical 2-design, sum_uv A (x) A = alpha 1 + beta SWAP,
 so each left-hand side is beta times the same sum over the d^2 - 1
 collective Gell-Mann generators G_a.  Two paths evaluate it: a dense path
 that applies all G_a site by site to the non-flat eigenvectors of one cached
-eigendecomposition, which the flat level needs only through their norms (up
-to total dimension ~2500; the dense collective operators remain as test
-oracles), and an exact isotropic path for p |psi><psi| + (1-p)/D that needs
+spectral split (`DensityMatrix.split`), which the flat level needs only
+through their norms (up to total dimension ~2500; the dense collective
+operators remain as test oracles), and an exact isotropic path for p |psi><psi| + (1-p)/D that needs
 only the generator moments of |psi>."""
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cache
 import numpy as np
 
 from .basis import gell_mann_basis
-from .linalg import DensityMatrix, EIG_ZERO_TOL, check_hermitian, embed_site
+from .linalg import DensityMatrix, EIG_ZERO_TOL, _spectral_split, check_hermitian, embed_site
 
 DENSE_DIM_LIMIT = 2500
 VARIANCE = "variance"
@@ -83,19 +83,6 @@ def _weight_matrix(rows: np.ndarray, cols: np.ndarray,
         weights = _pair_weight(a, b, spec)
     weights[_null_pair(a, b, spec)] = 0.0
     return weights
-
-
-def _spectral_split(evals: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """(lam, c, flat): ascending eigenvalues as the weights see them, and the
-    largest window `flat` (a mask) of spread below EIG_ZERO_TOL, mean level c:
-    rho = c 1 + sum_{k not flat} (lam_k - c) |v_k><v_k|, flat pairs weigh 0."""
-    lam = np.clip(evals, 0.0, None)
-    lam[lam < EIG_ZERO_TOL] = 0.0
-    sizes = np.searchsorted(lam, lam + EIG_ZERO_TOL) - np.arange(lam.size)
-    start = int(np.argmax(sizes))
-    flat = np.zeros(lam.size, dtype=bool)
-    flat[start:start + sizes[start]] = True
-    return lam, float(np.mean(evals[flat])), flat
 
 
 def skew_information(rho: DensityMatrix, x: np.ndarray,
@@ -189,41 +176,51 @@ def collective_operator(a: np.ndarray, n: int) -> np.ndarray:
     return sum(embed_site(a, i, dims) for i in range(n))
 
 
-def criterion_lhs_dense(rho: DensityMatrix, m, quantity) -> float:
-    """Sum over all effects of the chosen quantity (a MonotoneFunctionSpec
-    or VARIANCE) for the collective effects, as beta times the sum over the
-    collective generators G_a (the alpha part of the design meets only equal
-    eigenvalues, which weigh 0).  Of the cached rho = c 1 + sum_R (lam_k - c)
-    |v_k><v_k| (_spectral_split) only the r non-flat v_k are read.  With
-    n_k = sum_a ||G_a v_k||^2 and B = sum_a |V_R^dag G_a V_R|^2 the flat part of
-    each norm is n_k - sum_j B_jk, so the skew sum is sum W_RR o B + 2 sum_k
-    w(lam_k, flat level) (n_k - sum_j B_jk); the variance uses Tr rho G^j =
-    c Tr G^j + sum_R (lam_k - c) <v_k|G^j|v_k>, Tr G = 0, Tr G^2 = n D / d."""
+def generator_terms(rho: DensityMatrix, m, skew: bool) -> tuple:
+    """(n, rows, B) of one pass of all d^2 - 1 generators over the non-flat v_k
+    of `rho.split`: n_k = sum_a ||G_a v_k||^2, rows <v_k|G_a|v_k> and, if
+    `skew`, B = sum_a |V_R^dag G_a V_R|^2.  The generators go in groups of
+    max(1, D // r), so no group's (size, D, r) image exceeds D^2 entries."""
     if set(rho.site_dims) != {m.d}:
         raise ValueError(f"site dimensions {rho.site_dims} incompatible with d={m.d}")
     if rho.dim > DENSE_DIM_LIMIT:
         raise DenseSizeError(f"dense dimension {rho.dim} exceeds limit {DENSE_DIM_LIMIT}")
-    evals, evecs = rho.spectrum
-    lam, c, flat = _spectral_split(evals)
-    v, gens = np.ascontiguousarray(evecs[:, ~flat]), _generators(m.d)
-    r, skew = v.shape[1], quantity != VARIANCE
-    size = max(1, rho.dim // max(r, 1))  # each group's (size, D, r) image: <= D^2 entries
-    norms, x = np.zeros(r), np.zeros((r, r) if skew else (len(gens), r))
+    v, gens = rho.split[-1], _generators(m.d)
+    r = v.shape[1]
+    size = max(1, rho.dim // max(r, 1))
+    norms, rows = np.zeros(r), np.zeros((len(gens), r))
+    block = np.zeros((r, r)) if skew else None
     for start in range(0, len(gens), size):
         gv = _apply_generators(gens[start:start + size], rho.n_sites, v)
         norms += np.sum(np.abs(gv) ** 2, axis=(0, 1))
-        if skew:  # B += |V_R^dag G V_R|^2, one BLAS product per generator
-            x += np.sum(np.abs(np.matmul(v.conj().T, gv)) ** 2, axis=0)
-        else:  # one row <v_k|G|v_k> per generator
-            x[start:start + size] = np.einsum("ik,gik->gk", v.conj(), gv).real
-    if not skew:
-        shift = evals[~flat] - c
-        second = len(gens) * c * rho.dim * rho.n_sites / m.d + shift @ norms
-        return m.beta * float(second - np.sum((x @ shift) ** 2))
+        rows[start:start + size] = np.einsum("ik,gik->gk", v.conj(), gv).real
+        if skew:  # one BLAS product per generator
+            block += np.sum(np.abs(np.matmul(v.conj().T, gv)) ** 2, axis=0)
+    return norms, rows, block
+
+
+def criterion_lhs_dense(rho: DensityMatrix, m, quantity, terms: tuple | None = None) -> float:
+    """Sum over all effects of the chosen quantity (a MonotoneFunctionSpec
+    or VARIANCE) for the collective effects, as beta times the sum over the
+    collective generators G_a (the alpha part of the design meets only equal
+    eigenvalues, which weigh 0).  Of the cached split rho = c 1 + sum_R
+    (lam_k - c) |v_k><v_k| only the r non-flat v_k are read, through their
+    `generator_terms`; passing these in lets several quantities share one
+    pass.  The flat part of each norm is n_k - sum_j B_jk, so the skew sum is
+    sum W_RR o B + 2 sum_k w(lam_k, flat level) (n_k - sum_j B_jk); the
+    variance uses Tr rho G^j = c Tr G^j + sum_R (lam_k - c) <v_k|G^j|v_k>,
+    Tr G = 0, Tr G^2 = n D / d."""
+    skew = quantity != VARIANCE
+    norms, rows, block = terms or generator_terms(rho, m, skew)
+    lam, c, flat, _ = rho.split
     lam_r = lam[~flat]
+    if not skew:
+        shift = lam_r - c
+        second = len(rows) * c * rho.dim * rho.n_sites / m.d + shift @ norms
+        return m.beta * float(second - np.sum((rows @ shift) ** 2))
     w_flat = _weight_matrix(lam_r, np.mean(lam[flat], keepdims=True), quantity)[:, 0]
-    return m.beta * float(np.sum(_weight_matrix(lam_r, lam_r, quantity) * x)
-                          + 2 * w_flat @ (norms - x.sum(axis=0)))
+    return m.beta * float(np.sum(_weight_matrix(lam_r, lam_r, quantity) * block)
+                          + 2 * w_flat @ (norms - block.sum(axis=0)))
 
 
 def two_level_factor(p: float, d: int, n: int, spec: MonotoneFunctionSpec) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,26 +44,47 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Unit-trace PSD Hermitian operator on a tensor-product space; the
-    entries are stored read-only, so the cached `spectrum` cannot go stale."""
+    """Unit-trace PSD Hermitian operator on a tensor-product space, given by
+    its entries or (`from_factor`) as noise 1 + Y Y^dag.  The entries are
+    read-only, so the cached `spectrum` and `split` cannot go stale."""
 
     site_dims: tuple[int, ...]
-    entries: np.ndarray = field(repr=False)
+    matrix: Optional[np.ndarray] = field(default=None, repr=False)
+    factor: Optional[np.ndarray] = field(default=None, repr=False)  # Y, D x r
+    noise: float = 0.0
+
+    @classmethod
+    def from_factor(cls, site_dims, vectors, weights, noise: float = 0.0) -> "DensityMatrix":
+        """noise 1 + sum_i w_i |x_i><x_i|, x_i the columns of `vectors`: Y = X diag(sqrt w)."""
+        x, w = np.asarray(vectors, dtype=complex), np.asarray(weights, dtype=float)
+        if x.ndim != 2 or w.shape != x.shape[1:] or not (w >= 0).all():
+            raise ValueError(f"need r weights >= 0 for D x r vectors, got {w} for {x.shape}")
+        y = x * np.sqrt(w)
+        y.flags.writeable = False
+        return cls(site_dims, None, y, noise)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.site_dims)
         object.__setattr__(self, "site_dims", dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"invalid site dimensions {dims}")
-        entries = check_hermitian(self.entries)
         dim = int(np.prod(dims))
-        if entries.shape != (dim, dim):
-            raise ValueError(
-                f"entries shape {entries.shape} does not match site dims {dims}"
-            )
-        tr = np.trace(entries).real
+        if self.factor is None:
+            entries = check_hermitian(self.matrix)
+            if entries.shape != (dim, dim):
+                raise ValueError(f"entries shape {entries.shape} does not match site dims {dims}")
+            tr = np.trace(entries).real
+        else:  # O(D r): Y Y^dag + noise 1 is Hermitian, and PSD for noise >= 0
+            y, c = self.factor, self.noise
+            if y.ndim != 2 or len(y) != dim:
+                raise ValueError(f"factor shape {y.shape} does not match site dims {dims}")
+            if not (np.isfinite(y).all() and 0.0 <= c < np.inf):
+                raise ValueError(f"factor must be finite and noise {c} finite and >= 0")
+            tr = c * dim + np.vdot(y, y).real
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace is {tr}, expected 1")
+        if self.factor is not None:
+            return
         try:  # rho >= -PSD_SLACK iff rho + PSD_SLACK has a Cholesky factor
             np.linalg.cholesky(entries + PSD_SLACK * np.eye(dim))
         except np.linalg.LinAlgError:
@@ -72,12 +93,40 @@ class DensityMatrix:
                 raise ValueError(f"not positive semidefinite (min eigenvalue {min_eig:.3e})")
         entries = entries.view()
         entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "matrix", entries)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The D x D entries; a factor state builds them on first read."""
+        if self.matrix is None:
+            entries = self.factor @ self.factor.conj().T
+            entries[np.diag_indices(len(entries))] += self.noise
+            entries.flags.writeable = False
+            object.__setattr__(self, "matrix", entries)
+        return self.matrix
 
     @cached_property
     def spectrum(self) -> Spectrum:
         """Eigendecomposition of the entries, computed on first use only."""
         return hermitian_eig(self.entries)
+
+    @cached_property
+    def split(self) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+        """(lam, c, flat) of `_spectral_split` and the non-flat eigenvectors.  A
+        factor state with 0 < 2r < D takes them from Y = QR and R R^dag = U mu
+        U^dag: eigenvalues noise + mu and noise (D - r times), eigenvectors QU.
+        Otherwise, as with 2r >= D the noise level need not be the widest flat
+        window, they come from `spectrum`."""
+        if self.factor is None or not 0 < 2 * self.factor.shape[1] < self.dim:
+            evals, evecs = self.spectrum
+        else:
+            q, r = np.linalg.qr(self.factor)
+            mu, u = hermitian_eig(r @ r.conj().T)
+            evecs = q @ u
+            evals = np.concatenate([np.full(self.dim - len(mu), self.noise),
+                                    self.noise + np.clip(mu, 0.0, None)])
+        lam, c, flat = _spectral_split(evals)
+        return lam, c, flat, np.ascontiguousarray(evecs[:, ~flat[len(flat) - evecs.shape[1]:]])
 
     @property
     def dim(self) -> int:
@@ -96,6 +145,19 @@ class Spectrum(NamedTuple):
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns
+
+
+def _spectral_split(evals: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """(lam, c, flat): ascending eigenvalues as the weights see them, and the
+    largest window `flat` (a mask) of spread below EIG_ZERO_TOL, mean level c:
+    rho = c 1 + sum_{k not flat} (lam_k - c) |v_k><v_k|, flat pairs weigh 0."""
+    lam = np.clip(evals, 0.0, None)
+    lam[lam < EIG_ZERO_TOL] = 0.0
+    sizes = np.searchsorted(lam, lam + EIG_ZERO_TOL) - np.arange(lam.size)
+    start = int(np.argmax(sizes))
+    flat = np.zeros(lam.size, dtype=bool)
+    flat[start:start + sizes[start]] = True
+    return lam, float(np.mean(evals[flat])), flat
 
 
 def hermitian_eig(h: np.ndarray) -> Spectrum:

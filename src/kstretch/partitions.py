@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 
@@ -148,6 +149,11 @@ class BoundInputs:
     def from_measurement(cls, m, n: int, k: int) -> "BoundInputs":
         return cls(n=n, k=k, d=m.d, beta=m.beta, s_over_t=m.s / m.t)
 
+    @cached_property
+    def max_squares(self) -> int:
+        """M(N, k), computed on first use only."""
+        return max_sum_squares(self.n, self.k)
+
 
 def bound_i(inputs: BoundInputs) -> float:
     """Upper bound on the skew-information sum for k-stretchable states:
@@ -155,7 +161,7 @@ def bound_i(inputs: BoundInputs) -> float:
     n, d, beta = inputs.n, inputs.d, inputs.beta
     if n + inputs.k == 1:
         return beta * (d - 1) * n
-    m_val = max_sum_squares(n, inputs.k)
+    m_val = inputs.max_squares
     return beta * ((d - 1) * n + (1 - 1 / d) * m_val) + inputs.s_over_t * (m_val - n)
 
 
@@ -163,7 +169,7 @@ def bound_v(inputs: BoundInputs) -> float:
     """Lower bound on the variance sum for k-stretchable states:
     beta [(d+1) N - 2M], which does not depend on s/t."""
     n = inputs.n
-    return inputs.beta * ((inputs.d + 1) * n - 2 * max_sum_squares(n, inputs.k))
+    return inputs.beta * ((inputs.d + 1) * n - 2 * inputs.max_squares)
 
 
 def bracket_audit(max_n: int = 14) -> list[dict]:

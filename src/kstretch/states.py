@@ -156,13 +156,11 @@ def state_vector(family: IsotropicFamily) -> np.ndarray:
 
 
 def materialize_dense(family: IsotropicFamily, p: float) -> DensityMatrix:
-    """Dense rho(p) = p |psi><psi| + (1-p)/D."""
+    """rho(p) = p |psi><psi| + (1-p)/D as a rank-1 factor state."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    vec = state_vector(family)
-    dim_total = family.total_dim
-    entries = p * np.outer(vec, vec.conj()) + (1 - p) / dim_total * np.eye(dim_total)
-    return DensityMatrix((family.d,) * family.n, entries)
+    return DensityMatrix.from_factor((family.d,) * family.n, state_vector(family)[:, None],
+                                     [p], (1 - p) / family.total_dim)
 
 
 def effect_moments(family: IsotropicFamily) -> CollectiveMoments:

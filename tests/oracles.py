@@ -1,15 +1,16 @@
 """Test oracles: the detection bounds as the paper writes them, in
-(r, chi, s, t), the single-site effect-square identities, and the dense
-LHS in the full eigenbasis.  The program computes the bounds from
-(beta, s/t) and the dense LHS from the non-flat eigenvectors only; these
-independent forms check it."""
+(r, chi, s, t), the single-site effect-square identities, the dense
+LHS in the full eigenbasis, and random k-stretchable states summed as
+D x D matrices.  The program computes the bounds from (beta, s/t), the
+dense LHS from the non-flat eigenvectors only and random states as
+factors; these independent forms check it."""
 
 import numpy as np
 
 from kstretch.basis import gell_mann_basis
 from kstretch.infoquant import VARIANCE, _spectral_split, _weight_matrix
 from kstretch.linalg import check_hermitian
-from kstretch.partitions import max_sum_squares
+from kstretch.partitions import enumerate_kstretch, max_sum_squares
 
 
 def paper_bound_i(m, n: int, k: int) -> float:
@@ -109,3 +110,22 @@ def full_basis_lhs_dense(rho, m, quantity) -> float:
         x_rest = _apply_collective(g, n, v_rest).conj().T @ evecs
         total += float(np.sum(weights * np.abs(x_rest) ** 2))
     return m.beta * total
+
+
+def dense_kstretchable_entries(rng, d: int, n: int, k: int,
+                               max_mixture: int = 3) -> np.ndarray:
+    """The entries of `random_kstretchable_density` for the same generator
+    state, summed as w |v><v| matrices: the same draws in the same order."""
+    admissible = enumerate_kstretch(n, k)
+    n_pure = int(rng.integers(1, max_mixture + 1))
+    weights = rng.dirichlet(np.ones(n_pure))
+    rho = np.zeros((d**n, d**n), dtype=complex)
+    for w in weights:
+        parts = admissible[rng.integers(len(admissible))]
+        vec = np.ones(1, dtype=complex)
+        for size in parts:
+            block = rng.normal(size=d**size) + 1j * rng.normal(size=d**size)
+            block /= np.linalg.norm(block)
+            vec = np.kron(vec, block)
+        rho += w * np.outer(vec, vec.conj())
+    return rho

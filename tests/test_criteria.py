@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import all_families
-from kstretch import criteria, linalg, states
+from conftest import all_families, random_density
+from oracles import dense_kstretchable_entries
+from kstretch import criteria, infoquant, linalg, partitions, states
 from kstretch.basis import gell_mann_basis
 from kstretch.criteria import (
     VERDICT_MARGIN,
@@ -25,9 +26,11 @@ from kstretch.infoquant import (
     VARIANCE,
     WYD_HALF,
     MonotoneFunctionSpec,
+    criterion_lhs_dense,
     criterion_lhs_isotropic,
 )
-from kstretch.partitions import max_sum_squares
+from kstretch.linalg import DensityMatrix
+from kstretch.partitions import BoundInputs, bound_i, bound_v, max_sum_squares
 from kstretch.povm import build_stpovm
 from kstretch.states import (
     antisymmetric_state,
@@ -173,14 +176,65 @@ def test_evaluate_sweep_variance_once_per_p(m19, monkeypatch):
 
 
 def test_dense_evaluate_decomposes_once(m19, monkeypatch):
-    """QFI, WYD and variance on one dense state share one eigendecomposition."""
+    """QFI, WYD and variance on one state built from entries share one
+    eigendecomposition."""
     calls = []
     real = linalg.hermitian_eig
     monkeypatch.setattr(linalg, "hermitian_eig", lambda h: calls.append(1) or real(h))
-    rho = materialize_dense(ghz_qudit(3, 3), 0.6)
+    rho = DensityMatrix((3,) * 3, materialize_dense(ghz_qudit(3, 3), 0.6).entries)
     for f_spec in (QFI, WYD_HALF, None):
         evaluate(rho, m19, f_spec, k=-1)
     assert len(calls) == 1
+
+
+def _rank3_factor(rng):
+    """A rank-3 factor state at d=3, N=6 (D=729)."""
+    x = rng.normal(size=(729, 3)) + 1j * rng.normal(size=(729, 3))
+    return DensityMatrix.from_factor((3,) * 6, x / np.linalg.norm(x, axis=0), [0.5, 0.3, 0.2])
+
+
+def test_factor_evaluate_decomposes_r_by_r_once(m19, monkeypatch):
+    """A rank-3 factor state at D = 729 is checked without a Cholesky
+    factorisation, and QFI, WYD and variance share one 3 x 3
+    decomposition: no D x D one, and no D x D entries."""
+    calls = []
+    real = linalg.hermitian_eig
+    monkeypatch.setattr(linalg, "hermitian_eig", lambda h: calls.append(len(h)) or real(h))
+    monkeypatch.setattr(np.linalg, "cholesky", None)
+    rho = _rank3_factor(np.random.default_rng(2))
+    for f_spec in (QFI, WYD_HALF, None):
+        evaluate(rho, m19, f_spec, k=-1)
+    assert calls == [3] and rho.matrix is None
+
+
+@pytest.mark.parametrize("state,groups", [
+    (_rank3_factor, 1),
+    (lambda rng: DensityMatrix((3,) * 4, random_density(rng, 81)), 8),
+])
+def test_dense_evaluate_one_generator_pass(m19, monkeypatch, state, groups):
+    """A dense evaluate applies the generators once for both criteria: one
+    group of 8 at rank 3 and D = 729, one generator per group at full rank
+    and D = 81; both LHS equal those of separate calls."""
+    rho = state(np.random.default_rng(9))
+    calls = []
+    real = infoquant._apply_generators
+    monkeypatch.setattr(infoquant, "_apply_generators",
+                        lambda *args: calls.append(1) or real(*args))
+    rep = evaluate(rho, m19, WYD_HALF, k=-1)
+    assert len(calls) == groups
+    for lhs, quantity in ((rep.lhs_skew, WYD_HALF), (rep.lhs_var, VARIANCE)):
+        assert abs(lhs - criterion_lhs_dense(rho, m19, quantity)) <= 1e-12 * abs(lhs)
+
+
+def test_bounds_compute_m_once(m19, monkeypatch):
+    """bound_i and bound_v read one M(N, k) from their BoundInputs."""
+    calls = []
+    monkeypatch.setattr(partitions, "max_sum_squares",
+                        lambda n, k: calls.append((n, k)) or max_sum_squares(n, k))
+    i_bd, v_bd = criteria._bounds(m19, 40, 3 - 40)
+    assert calls == [(40, -37)]
+    inputs = BoundInputs.from_measurement(m19, 40, -37)
+    assert (i_bd, v_bd) == (bound_i(inputs), bound_v(inputs))
 
 
 def test_skew_none_skips_criterion(m19):
@@ -484,3 +538,14 @@ def test_random_kstretchable_is_reproducible():
     a = random_kstretchable_density(np.random.default_rng(7), 2, 3, 0)
     b = random_kstretchable_density(np.random.default_rng(7), 2, 3, 0)
     assert np.max(np.abs(a.entries - b.entries)) < 1e-15
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_kstretchable_matches_dense_builder(seed):
+    """The factor state makes the draws of the dense builder in the same
+    order: each seed gives the same state."""
+    for d, n, k in ((2, 3, 0), (3, 5, -1), (3, 6, -1)):
+        rho = random_kstretchable_density(np.random.default_rng(seed), d, n, k)
+        dense = dense_kstretchable_entries(np.random.default_rng(seed), d, n, k)
+        assert rho.matrix is None
+        assert np.max(np.abs(rho.entries - dense)) <= 1e-15, (d, n, k)

@@ -254,6 +254,65 @@ def test_dense_lhs_matches_full_basis_oracle(m14, m19, name):
         assert abs(got - oracle) <= 1e-12 * abs(oracle), quantity
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3]), n=st.integers(2, 4), rank=st.integers(1, 3),
+       noise=st.sampled_from([0.0, 0.5]) | st.floats(0.01, 0.99),
+       weights=st.sampled_from(["random", "equal", "tiny"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_factor_lhs_matches_entries(m14, m19, d, n, rank, noise, weights, seed):
+    """A factor state's LHS, from a thin QR and an r x r decomposition, equals
+    the LHS of the same state built from its entries: ranks 1-3, noise 0 or
+    not, equal weights on orthonormal vectors (a degenerate non-flat level),
+    and a weight of 1e-14 (a mu below EIG_ZERO_TOL).  A nonzero noise level
+    stays >= 0.01 / D: just above EIG_ZERO_TOL, the ~1e-16 spread that the
+    entries' eigendecomposition gives the flat level moves the WYD weights
+    b^omega by more than 1e-12 (8e-10 at omega = 0.2, level 1.25e-10)."""
+    rng = np.random.default_rng(seed)
+    sites = n + (d == 2)  # D >= 8 > 2r: the factor route
+    dim = d**sites
+    x = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    w = rng.dirichlet(np.ones(rank))
+    if weights == "equal":
+        x, w = np.linalg.qr(x)[0], np.full(rank, 1 / rank)
+    elif weights == "tiny" and rank > 1:
+        w[-1], w[:-1] = 1e-14, w[:-1] / w[:-1].sum() * (1 - 1e-14)
+    x /= np.linalg.norm(x, axis=0)
+    rho = DensityMatrix.from_factor((d,) * sites, x, (1 - noise) * w, noise / dim)
+    ref = DensityMatrix(rho.site_dims, rho.entries)
+    m = m14 if d == 2 else m19
+    for quantity in (QFI, MonotoneFunctionSpec("wyd", 0.2), WYD_HALF, VARIANCE):
+        got, want = criterion_lhs_dense(rho, m, quantity), criterion_lhs_dense(ref, m, quantity)
+        assert abs(got - want) <= 1e-12 * abs(want), (quantity, got, want)
+    assert "spectrum" not in rho.__dict__
+
+
+def test_factor_split_from_spectrum_when_2r_reaches_d(m14):
+    """With 2r >= D the noise level need not be the widest flat window:
+    three orthonormal vectors of weight 0.3 at D = 4 make the upper level
+    flat and the noise level the one non-flat eigenvalue, so the split
+    comes from the full decomposition."""
+    x = np.linalg.qr(np.random.default_rng(4).normal(size=(4, 3)))[0]
+    rho = DensityMatrix.from_factor((2, 2), x, np.full(3, 0.3), 0.1 / 4)
+    _, c, flat, vectors = rho.split
+    assert np.sum(~flat) == 1 and c == pytest.approx(0.325) and vectors.shape == (4, 1)
+    assert "spectrum" in rho.__dict__
+    ref = DensityMatrix((2, 2), rho.entries)
+    for quantity in LHS_QUANTITIES:
+        want = criterion_lhs_dense(ref, m14, quantity)
+        assert criterion_lhs_dense(rho, m14, quantity) == pytest.approx(want, rel=1e-12)
+
+
+def test_factor_of_rank_zero_is_maximally_mixed(m14):
+    """A factor with no vectors is noise 1 = 1/D: its split has no non-flat
+    eigenvector, and every LHS equals that of the entries 1/D."""
+    rho = DensityMatrix.from_factor((2,) * 3, np.zeros((8, 0)), [], 1 / 8)
+    ref = DensityMatrix((2,) * 3, np.eye(8) / 8)
+    assert rho.split[3].shape == (8, 0)
+    for quantity in LHS_QUANTITIES:
+        want = criterion_lhs_dense(ref, m14, quantity)
+        assert criterion_lhs_dense(rho, m14, quantity) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_dense_lhs_never_reads_flat_eigenvectors(m19):
     """Flat eigenvectors set to NaN in the cached spectrum change nothing."""
     rho = _equal_rank2(np.random.default_rng(3), 3, 4)

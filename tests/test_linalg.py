@@ -84,6 +84,45 @@ def test_entries_read_only_and_spectrum_cached(rng):
     assert np.max(np.abs(evecs @ np.diag(evals) @ evecs.conj().T - source)) < 1e-12
 
 
+def test_factor_entries_read_only_and_built_on_first_read(rng):
+    """A factor state holds no D x D matrix until its entries are read; then
+    they are noise 1 + Y Y^dag, read-only, built once, from its own copy."""
+    x = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+    x /= np.linalg.norm(x, axis=0)
+    w, c = np.array([0.3, 0.5]), 0.2 / 8
+    expected = c * np.eye(8) + (x * w) @ x.conj().T
+    rho = DensityMatrix.from_factor((2, 2, 2), x, w, c)
+    x[0, 0] = w[0] = np.nan  # the caller's arrays are not kept
+    assert rho.matrix is None
+    assert np.max(np.abs(rho.entries - expected)) < 1e-15
+    assert rho.entries is rho.entries
+    with pytest.raises(ValueError):
+        rho.entries[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        rho.factor[0, 0] = 1.0
+
+
+E2 = np.eye(8)[:, :2]
+
+
+@pytest.mark.parametrize("vectors,weights,noise,match", [
+    (E2, [1.2, -0.2], 0.0, r"weights >= 0 .* got \[ 1.2 -0.2\]"),
+    (E2, [0.5, np.nan], 0.0, r"weights >= 0 .* got \[0.5 nan\]"),
+    (E2, [0.55, 0.55], -0.1 / 8, "noise -0.0125 finite and >= 0"),
+    (E2, [0.5, 0.5], np.nan, "noise nan finite and >= 0"),
+    (np.where(E2 == 1, np.nan, 0), [0.5, 0.5], 0.0, "factor must be finite"),
+    (np.where(E2 == 1, np.inf, 0), [0.5, 0.5], 0.0, "factor must be finite"),
+    (E2, [0.25, 0.25], 0.0, "trace is 0.5,"),
+    (E2[:, 0], [1.0], 0.0, r"got \[1.\] for \(8,\)"),
+    (E2, [0.4, 0.3, 0.3], 0.0, r"got \[0.4 0.3 0.3\] for \(8, 2\)"),
+    (np.eye(4)[:, :2], [0.5, 0.5], 0.0, r"factor shape \(4, 2\) does not match"),
+])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf times sqrt(w)
+def test_factor_rejects_bad_input(vectors, weights, noise, match):
+    with pytest.raises(ValueError, match=match):
+        DensityMatrix.from_factor((2, 2, 2), vectors, weights, noise)
+
+
 def test_hermitian_eig_ascending(rng):
     h = random_hermitian(rng, 5)
     evals, evecs = hermitian_eig(h)
