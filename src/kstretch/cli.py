@@ -140,7 +140,10 @@ def _family(name: str, d: int, n: int, state_file: Optional[str]):
     if name == "file":
         if state_file is None:
             raise click.BadParameter("--state-file is required for --family file")
-        return load_state_file(state_file)
+        fam = load_state_file(state_file)
+        if fam.n != n:
+            raise ValueError(f"--n {n} differs from the {fam.n} sites of {state_file}")
+        return fam
     raise click.BadParameter(f"unknown family {name!r}")
 
 
@@ -258,11 +261,11 @@ def cmd_criteria(ctx, family, state_file, d, n, k, s, t, r, p, p_range, f_choice
         quantities = parse_f(f_choice)
         fam = _family(family, d, n, state_file)
         m = _build_measurement(fam.d, s, t, r)
+        reports = evaluate_sweep(fam, m, k, [
+            (None if quantity == VARIANCE else quantity, p_val)
+            for p_val in p_values for quantity in quantities])
     except ValueError as exc:
         _fail(exc)
-    reports = evaluate_sweep(fam, m, k, [
-        (None if quantity == VARIANCE else quantity, p_val)
-        for p_val in p_values for quantity in quantities])
     writer = _criteria_json if out_format == "json" else _criteria_csv
     _emit(writer(_config_echo(ctx.params), reports), output)
     sys.exit(0)

@@ -128,7 +128,9 @@ def collective_moments_from_rdms(rho1: DensityMatrix, rho2: DensityMatrix,
     s2 = n (d - 1/d) + n (n-1) (Tr rho2 SWAP - 1/d).
 
     Valid for states whose 1- and 2-party reduced density matrices are
-    site-independent (permutation invariance up to sign).
+    site-independent (permutation invariance up to sign).  No family calls
+    it: it is the partial-trace oracle for the closed-form moments of
+    `kstretch.states`, kept here for the tests and the benchmark tracer.
     """
     d = rho1.dim
     # Tr rho1^2 - 1/d as ||rho1 - 1/d||^2: never negative, exactly 0 at 1/d

@@ -2,11 +2,12 @@
 
 Each family describes a pure state |psi> to be mixed with white noise,
 rho(p) = p |psi><psi| + (1-p)/D.  The criteria need of |psi> only the two
-generator moments (s1, s2), which each family computes once (`moments`).
-For the built-in families they follow from the 1- and 2-party reduced
-states, known in closed form and certified against the partial-trace
-oracle at dense-feasible sizes in the test suite; custom states apply the
-generators to the state vector.
+generator moments (s1, s2), which each family holds (`moments`).  The
+built-in ones are closed forms, certified against the partial-trace oracle
+at dense-feasible sizes in the test suite: a symmetric state has
+Tr(rho2 SWAP) = 1, so GHZ has s1 = 0 and s2 = N(d - 1/d) + N(N-1)(1 - 1/d),
+and the antisymmetric state has s1 = s2 = 0.  Custom states apply the
+generators to the state vector once, at construction.
 """
 
 from __future__ import annotations
@@ -14,38 +15,27 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import permutations
 from typing import Optional
 
 import numpy as np
 
 from .infoquant import DENSE_DIM_LIMIT, CollectiveMoments, DenseSizeError, \
-    _apply_generators, _generators, collective_moments_from_rdms
+    _apply_generators, _generators
 from .linalg import DensityMatrix
 from .povm import json_floats
 
 
 @dataclass(frozen=True)
 class IsotropicFamily:
-    """A pure state plus the data its generator moments come from: the
-    reduced states of a built-in family, or the amplitudes of a custom one."""
+    """A pure state given by its generator moments, plus the amplitudes of
+    a custom one."""
 
     kind: str  # "ghz" | "antisym" | "custom"
     d: int
     n: int
-    rdm1: Optional[DensityMatrix]
-    rdm2: Optional[DensityMatrix]
+    moments: CollectiveMoments
     amplitudes: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @cached_property
-    def moments(self) -> CollectiveMoments:
-        """Generator moments (s1, s2) of |psi>, computed on first use only."""
-        if self.kind != "custom":
-            return collective_moments_from_rdms(self.rdm1, self.rdm2, self.n)
-        g_vec = _apply_generators(_generators(self.d), self.n, self.amplitudes[:, None])[..., 0]
-        s1 = np.sum((g_vec @ self.amplitudes.conj()).real ** 2)
-        return CollectiveMoments(float(s1), float(np.vdot(g_vec, g_vec).real))
 
     @property
     def total_dim(self) -> int:
@@ -60,34 +50,16 @@ def ghz_qudit(d: int, n: int) -> IsotropicFamily:
     """(|0...0> + ... + |d-1...d-1>) / sqrt(d) on n sites."""
     if d < 2 or n < 2:
         raise ValueError(f"need d >= 2 and n >= 2, got d={d}, n={n}")
-    rdm1 = DensityMatrix((d,), np.eye(d) / d)
-    rdm2_entries = np.zeros((d * d, d * d), dtype=complex)
-    if n == 2:
-        # the state itself: coherences survive
-        for i in range(d):
-            for j in range(d):
-                rdm2_entries[i * d + i, j * d + j] = 1 / d
-    else:
-        # tracing >= 1 site kills the cross-branch coherences
-        for i in range(d):
-            rdm2_entries[i * d + i, i * d + i] = 1 / d
-    rdm2 = DensityMatrix((d, d), rdm2_entries)
-    return IsotropicFamily("ghz", d, n, rdm1, rdm2)
+    # s2 in integers with one true division: correctly rounded at any n
+    s2 = (n * (d * d - 1) + n * (n - 1) * (d - 1)) / d
+    return IsotropicFamily("ghz", d, n, CollectiveMoments(0.0, s2))
 
 
 def antisymmetric_state(n: int) -> IsotropicFamily:
     """The totally antisymmetric n-qudit state with local dimension d = n."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    d = n
-    rdm1 = DensityMatrix((d,), np.eye(d) / d)
-    swap = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            swap[i * d + j, j * d + i] = 1.0
-    p_antisym = (np.eye(d * d) - swap) / 2
-    rdm2 = DensityMatrix((d, d), 2 / (d * (d - 1)) * p_antisym)
-    return IsotropicFamily("antisym", d, n, rdm1, rdm2)
+    return IsotropicFamily("antisym", n, n, CollectiveMoments(0.0, 0.0))
 
 
 def custom_state(site_dims: list[int], amplitudes: np.ndarray) -> IsotropicFamily:
@@ -109,8 +81,11 @@ def custom_state(site_dims: list[int], amplitudes: np.ndarray) -> IsotropicFamil
     norm = np.linalg.norm(vec)
     if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"state vector norm is {norm}, expected 1")
-    vec.flags.writeable = False  # a private copy, so the cached moments cannot go stale
-    return IsotropicFamily("custom", d, n, None, None, amplitudes=vec)
+    vec.flags.writeable = False  # a private copy: it stays the state the moments describe
+    g_vec = _apply_generators(_generators(d), n, vec[:, None])[..., 0]
+    s1 = np.sum((g_vec @ vec.conj()).real ** 2)
+    moments = CollectiveMoments(float(s1), float(np.vdot(g_vec, g_vec).real))
+    return IsotropicFamily("custom", d, n, moments, amplitudes=vec)
 
 
 def load_state_file(path) -> IsotropicFamily:
@@ -140,18 +115,13 @@ def state_vector(family: IsotropicFamily) -> np.ndarray:
         return family.amplitudes.copy()
     if family.kind == "ghz":
         vec = np.zeros(d**n, dtype=complex)
-        for i in range(d):
-            idx = sum(i * d**site for site in range(n))
-            vec[idx] = 1 / np.sqrt(d)
+        vec[::(d**n - 1) // (d - 1)] = 1 / np.sqrt(d)  # |i...i> at i (d^n - 1)/(d - 1)
         return vec
     # antisymmetric: sum over permutations with parity signs
     vec = np.zeros(d**n, dtype=complex)
     for perm in permutations(range(n)):
         sign = (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
-        idx = 0
-        for level in perm:
-            idx = idx * d + level
-        vec[idx] = sign / np.sqrt(math.factorial(n))
+        vec[np.ravel_multi_index(perm, (d,) * n)] = sign / np.sqrt(math.factorial(n))
     return vec
 
 

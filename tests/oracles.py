@@ -1,15 +1,17 @@
 """Test oracles: the detection bounds as the paper writes them, in
 (r, chi, s, t), the single-site effect-square identities, the dense
-LHS in the full eigenbasis, and random k-stretchable states summed as
-D x D matrices.  The program computes the bounds from (beta, s/t), the
-dense LHS from the non-flat eigenvectors only and random states as
-factors; these independent forms check it."""
+LHS in the full eigenbasis, random k-stretchable states summed as
+D x D matrices, and the 1- and 2-site reduced states of the built-in
+families.  The program computes the bounds from (beta, s/t), the dense LHS
+from the non-flat eigenvectors only, random states as factors and the
+families' generator moments in closed form; these independent forms check
+it."""
 
 import numpy as np
 
 from kstretch.basis import gell_mann_basis
 from kstretch.infoquant import VARIANCE, _spectral_split, _weight_matrix
-from kstretch.linalg import check_hermitian
+from kstretch.linalg import DensityMatrix, check_hermitian
 from kstretch.partitions import enumerate_kstretch, max_sum_squares
 
 
@@ -129,3 +131,38 @@ def dense_kstretchable_entries(rng, d: int, n: int, k: int,
             vec = np.kron(vec, block)
         rho += w * np.outer(vec, vec.conj())
     return rho
+
+
+def ghz_reduced_states(d: int, n: int) -> tuple[DensityMatrix, DensityMatrix]:
+    """The 1- and 2-site reduced states of the d-level GHZ state on n sites."""
+    rdm1 = DensityMatrix((d,), np.eye(d) / d)
+    rdm2_entries = np.zeros((d * d, d * d), dtype=complex)
+    if n == 2:
+        # the state itself: coherences survive
+        for i in range(d):
+            for j in range(d):
+                rdm2_entries[i * d + i, j * d + j] = 1 / d
+    else:
+        # tracing >= 1 site kills the cross-branch coherences
+        for i in range(d):
+            rdm2_entries[i * d + i, i * d + i] = 1 / d
+    return rdm1, DensityMatrix((d, d), rdm2_entries)
+
+
+def antisym_reduced_states(n: int) -> tuple[DensityMatrix, DensityMatrix]:
+    """The 1- and 2-site reduced states of the antisymmetric state, d = n."""
+    d = n
+    rdm1 = DensityMatrix((d,), np.eye(d) / d)
+    swap = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            swap[i * d + j, j * d + i] = 1.0
+    p_antisym = (np.eye(d * d) - swap) / 2
+    return rdm1, DensityMatrix((d, d), 2 / (d * (d - 1)) * p_antisym)
+
+
+def family_reduced_states(family) -> tuple[DensityMatrix, DensityMatrix]:
+    """The reduced states of a built-in GHZ or antisymmetric family."""
+    if family.kind == "ghz":
+        return ghz_reduced_states(family.d, family.n)
+    return antisym_reduced_states(family.n)

@@ -437,6 +437,31 @@ def test_malformed_state_file_fails_cleanly(runner, tmp_path, doc, message, comm
     assert result.output.startswith("error: ") and message in result.output
 
 
+@pytest.mark.parametrize("command,n_flags", [
+    ("criteria", ["--n", "9", "--k", "0", "--p", "1"]),
+    ("threshold", ["--n", "4", "--n", "5", "--n", "6"])], ids=["criteria", "threshold"])
+def test_state_file_n_must_match_its_sites(runner, tmp_path, command, n_flags):
+    """A state file fixes N: an --n that differs from its site count is an
+    error line and exit 1, never rows of the file's state under another N."""
+    state = tmp_path / "w4.json"
+    amps = [[0.5 if bin(i).count("1") == 1 else 0.0, 0.0] for i in range(16)]
+    state.write_text(json.dumps({"site_dims": [2] * 4, "amplitudes": amps}))
+    result = runner.invoke(main, [command, "--family", "file", "--state-file", str(state),
+                                  "--d", "2", "--s", "1", "--t", "4", *n_flags])
+    assert result.exit_code == 1
+    bad_n = n_flags[1] if command == "criteria" else "5"
+    assert result.output == f"error: --n {bad_n} differs from the 4 sites of {state}\n"
+    assert isinstance(result.exception, SystemExit)  # no traceback
+
+
+def test_criteria_k_below_one_minus_n_fails_cleanly(runner):
+    """k + N < 1 is an error line and exit 1 in criteria, as in threshold."""
+    result = runner.invoke(main, ["criteria", "--n", "3", "--k", "-5", "--p", "1"])
+    assert result.exit_code == 1
+    assert result.output == "error: k + N = -2 must be >= 1\n"
+    assert isinstance(result.exception, SystemExit)  # no traceback
+
+
 def test_output_file(runner, tmp_path):
     path = tmp_path / "rows.csv"
     result = runner.invoke(main, [

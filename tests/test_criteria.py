@@ -484,15 +484,19 @@ def test_violation_interval_endpoints_are_first_floats(m19, m14, monkeypatch):
 
 
 def test_threshold_computes_moments_once_per_family(m19, monkeypatch):
-    """Three thresholds on one family compute its generator moments once."""
+    """A custom family applies the generators once, at construction, over
+    three thresholds; GHZ states its moments and never applies them."""
     calls = []
-    real = states.collective_moments_from_rdms
-    monkeypatch.setattr(states, "collective_moments_from_rdms",
+    real = states._apply_generators
+    monkeypatch.setattr(states, "_apply_generators",
                         lambda *args: calls.append(1) or real(*args))
-    family = ghz_qudit(3, 10)
-    for quantity in (QFI, WYD_HALF, VARIANCE):
-        threshold_p(family, m19, quantity, -7)
-    assert len(calls) == 1
+    vec = np.zeros(27)
+    vec[[0, 13, 26]] = 3 ** -0.5
+    for family, expected in ((custom_state([3, 3, 3], vec), 1), (ghz_qudit(3, 10), 0)):
+        for quantity in (QFI, WYD_HALF, VARIANCE):
+            threshold_p(family, m19, quantity, 3 - family.n)
+        assert len(calls) == expected
+        calls.clear()
 
 
 def test_custom_amplitudes_are_a_frozen_copy():

@@ -28,7 +28,7 @@ from kstretch.infoquant import (
 from kstretch.linalg import DensityMatrix, Spectrum, kron, partial_trace
 from kstretch.povm import build_stpovm
 from kstretch.states import antisymmetric_state, effect_moments, ghz_qudit, materialize_dense
-from oracles import full_basis_lhs_dense
+from oracles import family_reduced_states, full_basis_lhs_dense
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -136,9 +136,10 @@ def test_isotropic_path_rejects_bad_p(m14):
 
 def per_effect_variances(m, fam, p: float) -> tuple[float, float]:
     """Sums over the effects of Var_psi(A) and Var_rho(p)(A), with the
-    collective moments of each A = A_1 + ... + A_n from kron(a, a) @ rho2."""
+    collective moments of each A = A_1 + ... + A_n from kron(a, a) @ rho2,
+    on the family's hand-built reduced states."""
     d, n = fam.d, fam.n
-    rho1, rho2 = fam.rdm1.entries, fam.rdm2.entries
+    rho1, rho2 = (rdm.entries for rdm in family_reduced_states(fam))
     pure = mixed = 0.0
     for a in m.iter_effects():
         mean = n * np.trace(a @ rho1).real

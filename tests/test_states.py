@@ -1,13 +1,16 @@
-"""Benchmark families: closed-form reduced states vs the partial-trace oracle."""
+"""Benchmark families: closed-form generator moments vs the partial-trace oracle."""
 
 import json
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_pure
-from kstretch.infoquant import DenseSizeError
+from oracles import family_reduced_states
+from kstretch.infoquant import DenseSizeError, collective_moments_from_rdms
 from kstretch.linalg import partial_trace
 from kstretch.states import (
     antisymmetric_state,
@@ -20,24 +23,49 @@ from kstretch.states import (
 )
 
 
+def _check_against_partial_trace(fam):
+    """The oracle's hand-built reduced states are the partial traces of the
+    dense state, and the closed-form (s1, s2) equal both the moments of
+    those partial traces and those the custom path computes from the
+    state vector."""
+    rho = materialize_dense(fam, 1.0)
+    rho1, rho2 = partial_trace(rho, {0}), partial_trace(rho, {0, 1})
+    for built, traced in zip(family_reduced_states(fam), (rho1, rho2)):
+        assert np.max(np.abs(built.entries - traced.entries)) < 1e-12
+    for oracle in (collective_moments_from_rdms(rho1, rho2, fam.n),
+                   custom_state([fam.d] * fam.n, state_vector(fam)).moments):
+        assert abs(fam.moments.s1 - oracle.s1) <= 1e-12
+        assert abs(fam.moments.s2 - oracle.s2) <= 1e-12
+
+
 @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 3)])
 def test_ghz_rdms_match_partial_trace(d, n):
-    fam = ghz_qudit(d, n)
-    rho = materialize_dense(fam, 1.0)
-    assert np.max(np.abs(fam.rdm1.entries
-                         - partial_trace(rho, {0}).entries)) < 1e-12
-    assert np.max(np.abs(fam.rdm2.entries
-                         - partial_trace(rho, {0, 1}).entries)) < 1e-12
+    _check_against_partial_trace(ghz_qudit(d, n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_antisym_rdms_match_partial_trace(n):
-    fam = antisymmetric_state(n)
-    rho = materialize_dense(fam, 1.0)
-    assert np.max(np.abs(fam.rdm1.entries
-                         - partial_trace(rho, {0}).entries)) < 1e-12
-    assert np.max(np.abs(fam.rdm2.entries
-                         - partial_trace(rho, {0, 1}).entries)) < 1e-12
+    _check_against_partial_trace(antisymmetric_state(n))
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_ghz_s2_is_correctly_rounded(d):
+    """s2 = N(d - 1/d) + N(N-1)(1 - 1/d) to the nearest float, up to N = 10^6."""
+    for n in (2, 3, 7, 10, 99, 1000, 12345, 10**5, 999_983, 10**6):
+        exact = n * (d - Fraction(1, d)) + n * (n - 1) * (1 - Fraction(1, d))
+        assert ghz_qudit(d, n).moments.s2 == float(exact), n
+
+
+def test_antisymmetric_state_builds_no_matrix():
+    """The antisymmetric family at N = 30 holds two numbers, not a
+    900 x 900 reduced state."""
+    tracemalloc.start()
+    try:
+        antisymmetric_state(30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_state_vectors_normalized():
@@ -93,7 +121,6 @@ def test_custom_state_roundtrip(tmp_path, rng):
     fam = load_state_file(path)
     assert fam.kind == "custom" and fam.d == 2 and fam.n == 2
     assert np.max(np.abs(state_vector(fam) - vec)) < 1e-12
-    assert fam.rdm1 is None and fam.rdm2 is None
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -127,7 +154,7 @@ def test_custom_state_validation(rng):
 
 
 def test_effect_moments_fast_vs_dense(rng):
-    """Reduced-state and site-local generator moments agree with explicit
+    """Closed-form and site-local generator moments agree with explicit
     expectation values of the dense collective generators."""
     from kstretch.basis import gell_mann_basis
     from kstretch.infoquant import collective_operator
@@ -153,10 +180,10 @@ def test_ghz_generator_variance_closed_form(d, n):
 def test_antisym_collective_variance_vanishes():
     """Every collective generator has zero mean and zero variance on the
     antisymmetric state: F_psi = s1 = 0."""
-    for n in (2, 3, 4, 8, 20):
+    for n in (2, 3, 4, 6, 8, 20):
         mom = effect_moments(antisymmetric_state(n))
         assert mom.s1 == 0.0
-        assert mom.pure_variance == pytest.approx(0.0, abs=1e-12), n
+        assert mom.pure_variance == 0.0, n
 
 
 def test_effect_moments_finite_at_large_n(m19):
