@@ -27,7 +27,6 @@ from .partitions import (
     BoundInputs,
     bound_i,
     bound_v,
-    closed_form_m,
     count_kstretch,
     enumerate_kstretch,
     max_sum_squares,
@@ -60,9 +59,13 @@ def parse_f(value: str) -> list:
                 VARIANCE]
     if value == "qfi":
         return [MonotoneFunctionSpec("qfi")]
-    if value == "wyd" or value.startswith("wyd:"):
-        omega = float(value.split(":", 1)[1]) if ":" in value else 0.5
-        return [MonotoneFunctionSpec("wyd", omega)]
+    if value == "wyd":
+        return [MonotoneFunctionSpec("wyd", 0.5)]
+    if value.startswith("wyd:"):
+        try:  # an omega that is not a float in (0, 1) is a usage error
+            return [MonotoneFunctionSpec("wyd", float(value[4:]))]
+        except ValueError:
+            pass
     if value == VARIANCE:
         return [VARIANCE]
     raise click.BadParameter(f"unknown quantity {value!r}")
@@ -125,7 +128,10 @@ OUTPUT = _options(click.option("--f", "f_choice", default="all", show_default=Tr
 
 
 def _config_echo(params: dict) -> dict:
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(params.items())}
+    """The resolved options, less --d for the families that take d from N or a file."""
+    unused = {"d"} if params.get("family") in ("antisym", "file") else set()
+    return {k: (list(v) if isinstance(v, tuple) else v)
+            for k, v in sorted(params.items()) if k not in unused}
 
 
 def _build_measurement(d: int, s: int, t: int, r: str):
@@ -137,14 +143,12 @@ def _family(name: str, d: int, n: int, state_file: Optional[str]):
         return ghz_qudit(d, n)
     if name == "antisym":
         return antisymmetric_state(n)
-    if name == "file":
-        if state_file is None:
-            raise click.BadParameter("--state-file is required for --family file")
-        fam = load_state_file(state_file)
-        if fam.n != n:
-            raise ValueError(f"--n {n} differs from the {fam.n} sites of {state_file}")
-        return fam
-    raise click.BadParameter(f"unknown family {name!r}")
+    if state_file is None:  # click.Choice leaves only "file"
+        raise click.BadParameter("--state-file is required for --family file")
+    fam = load_state_file(state_file)
+    if fam.n != n:
+        raise ValueError(f"--n {n} differs from the {fam.n} sites of {state_file}")
+    return fam
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -325,19 +329,15 @@ def cmd_threshold(ctx, family, state_file, d, n, k, s, t, r, f_choice, out_forma
 @click.pass_context
 def cmd_partitions(ctx, n, k, d, s, t, r, diagrams):
     """Count k-stretchable partitions and print the detection bounds."""
+    if n < 1:
+        raise click.BadParameter(f"N = {n} must be >= 1", param_hint="'--n'")
     count = count_kstretch(n, k)
     lines = [f"# config = {json.dumps(_config_echo(ctx.params))}",
              f"{count} {k}-stretchable partition(s) of {n}"]
     if not count:
         _emit("\n".join(lines) + "\n", None)
         sys.exit(0)
-    m_val = max_sum_squares(n, k)
-    m_closed = closed_form_m(n, min(k, n - 1))
-    agreement = ("n/a" if m_closed is None
-                 else "agree" if m_closed == m_val else "DISAGREE")
-    lines.append(f"max sum of squared block sizes: {m_val}")
-    lines.append(f"closed-form bracket: {m_closed if m_closed is not None else 'n/a'}"
-                 f" ({agreement})")
+    lines.append(f"max sum of squared block sizes: {max_sum_squares(n, k)}")
     try:
         m = _build_measurement(d, s, t, r)
         inputs = BoundInputs.from_measurement(m, n, min(k, n - 1))

@@ -1,5 +1,5 @@
-"""Detection verdicts, noise thresholds, and the operator-bound checks
-underlying the two k-nonstretchability inequalities.
+"""Detection verdicts and noise thresholds of the two k-nonstretchability
+inequalities, and the random k-stretchable states of the soundness checks.
 
 A state is reported k-nonstretchable when the skew-information sum
 exceeds its upper bound or the variance sum falls below its lower bound
@@ -19,7 +19,6 @@ from .infoquant import (
     VARIANCE,
     CollectiveMoments,
     MonotoneFunctionSpec,
-    collective_operator,
     criterion_lhs_dense,
     criterion_lhs_isotropic,
     generator_terms,
@@ -199,65 +198,11 @@ def _first(holds: Callable[[float], bool], lo: float, hi: float) -> float:
     return hi
 
 
-def antisym_variance_threshold(n: int, r: float) -> float:
-    """Closed-form variance-criterion threshold for the antisymmetric
-    family with the (1, n^2)-POVM at construction parameter r."""
-    num = n**3 * (n + 1) * (n + 3) * r**2 + n + 1
-    den = n**3 * (n + 1) ** 2 * (n - 1) * r**2 + n - 1
-    return num / den
-
-
-def block_operator_bounds(m: SymmetricMeasurement, n: int) -> dict:
-    """Spectral check of the block operator inequality: every eigenvalue
-    of the effect-square sum on n sites lies between the two scalar
-    bounds (equal at n=1)."""
-    d, beta, s_over_t = m.d, m.beta, m.s / m.t
-    lower = beta * (d + 1) * n + (s_over_t - beta * (1 + 1 / d)) * n**2
-    upper = beta * (d - 1) * n + (s_over_t + beta * (1 - 1 / d)) * n**2
-    total = sum(
-        (lambda b: b @ b)(collective_operator(a, n)) for a in m.iter_effects()
-    )
-    evals = np.linalg.eigvalsh(total)
-    return {
-        "n": n,
-        "lower": float(lower),
-        "upper": float(upper),
-        "min_eigenvalue": float(evals[0]),
-        "max_eigenvalue": float(evals[-1]),
-        "ok": bool(evals[0] >= lower - 1e-9 and evals[-1] <= upper + 1e-9),
-        "equality": bool(n == 1),
-    }
-
-
-def block_probability_bounds(m: SymmetricMeasurement,
-                             psi: DensityMatrix) -> dict:
-    """Check the pure-state probability square-sum bounds on an n-site block."""
-    if psi.purity() < 1 - 1e-10:
-        raise ValueError(f"state is not pure (purity {psi.purity()})")
-    d, s_over_t = m.d, m.s / m.t
-    n = psi.n_sites
-    if set(psi.site_dims) != {d}:
-        raise ValueError("site dimensions do not match the measurement")
-    value = sum(
-        float(np.trace(collective_operator(a, n) @ psi.entries).real) ** 2
-        for a in m.iter_effects()
-    )
-    # (d^2-1)/(t(t-1)) = s/t, and the paper's chi term is s/t + beta (1-1/d)
-    lower = s_over_t * n
-    upper = (s_over_t + m.beta * (1 - 1 / d)) * n**2
-    return {
-        "n": n,
-        "value": float(value),
-        "lower": float(lower),
-        "upper": float(upper),
-        "ok": bool(lower - 1e-9 <= value <= upper + 1e-9),
-    }
-
-
 def random_kstretchable_density(rng: np.random.Generator, d: int, n: int,
                                 k: int, max_mixture: int = 3) -> DensityMatrix:
     """Random k-stretchable state: a convex mixture of pure states, each a
-    product of Haar-random block states over a random admissible partition."""
+    product of Haar-random block states over a random admissible partition.
+    The tool does not call it: the benchmark's `dense-mixed` workload imports it."""
     admissible = enumerate_kstretch(n, k)
     if not admissible:
         raise ValueError(f"no {k}-stretchable partition of {n} exists")

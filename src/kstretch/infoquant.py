@@ -1,5 +1,5 @@
-"""Operator monotone functions, skew information, variance, and the
-collective-observable left-hand sides of the detection inequalities.
+"""Operator monotone functions and the collective-observable left-hand
+sides of the detection inequalities.
 
 Every (s,t)-POVM is a conical 2-design, sum_uv A (x) A = alpha 1 + beta SWAP,
 so each left-hand side is beta times the same sum over the d^2 - 1
@@ -8,7 +8,9 @@ that applies all G_a site by site to the non-flat eigenvectors of one cached
 spectral split (`DensityMatrix.split`), which the flat level needs only
 through their norms (up to total dimension ~2500; the dense collective
 operators remain as test oracles), and an exact isotropic path for p |psi><psi| + (1-p)/D that needs
-only the generator moments of |psi>."""
+only the generator moments of |psi>.  The skew information and variance of
+a single observable, the dense forms these sums check against, are test
+oracles."""
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from functools import cache
 import numpy as np
 
 from .basis import gell_mann_basis
-from .linalg import DensityMatrix, EIG_ZERO_TOL, _spectral_split, check_hermitian, embed_site
+from .linalg import DensityMatrix, EIG_ZERO_TOL, check_hermitian, embed_site
 
 DENSE_DIM_LIMIT = 2500
 VARIANCE = "variance"
@@ -85,28 +87,6 @@ def _weight_matrix(rows: np.ndarray, cols: np.ndarray,
     return weights
 
 
-def skew_information(rho: DensityMatrix, x: np.ndarray,
-                     spec: MonotoneFunctionSpec) -> float:
-    """Metric-adjusted skew information of observable x in state rho."""
-    x = check_hermitian(x)
-    if x.shape[0] != rho.dim:
-        raise ValueError(f"observable dimension {x.shape[0]} != {rho.dim}")
-    evals, evecs = rho.spectrum
-    lam = _spectral_split(evals)[0]
-    return float(np.sum(_weight_matrix(lam, lam, spec)
-                        * np.abs(evecs.conj().T @ x @ evecs) ** 2))
-
-
-def variance(rho: DensityMatrix, x: np.ndarray) -> float:
-    """Tr(rho x^2) - [Tr(rho x)]^2."""
-    x = check_hermitian(x)
-    if x.shape[0] != rho.dim:
-        raise ValueError(f"observable dimension {x.shape[0]} != {rho.dim}")
-    mean = np.trace(rho.entries @ x).real
-    second = np.trace(rho.entries @ x @ x).real
-    return float(second - mean**2)
-
-
 @dataclass(frozen=True)
 class CollectiveMoments:
     """Moments of the collective generators G_a = g_a^(1) + ... + g_a^(n),
@@ -166,7 +146,8 @@ def _apply_generators(gens: np.ndarray, n: int, v: np.ndarray) -> np.ndarray:
 
 
 def collective_operator(a: np.ndarray, n: int) -> np.ndarray:
-    """Dense A_1 + ... + A_n on n identical sites."""
+    """Dense A_1 + ... + A_n on n identical sites: a test oracle, kept here
+    because the benchmark tracer names it."""
     a = check_hermitian(a)
     d = a.shape[0]
     if d**n > DENSE_DIM_LIMIT:

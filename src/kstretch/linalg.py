@@ -37,11 +37,6 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.trace(a @ b)))
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor slow."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Unit-trace PSD Hermitian operator on a tensor-product space, given by
@@ -167,28 +162,9 @@ def hermitian_eig(h: np.ndarray) -> Spectrum:
     return Spectrum(evals, evecs)
 
 
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Trace out all sites not in `keep`; kept sites stay in original order."""
-    keep_set = set(int(i) for i in keep)
-    n = rho.n_sites
-    if not keep_set:
-        raise ValueError("keep set must be nonempty")
-    if not keep_set <= set(range(n)):
-        raise ValueError(f"keep set {sorted(keep_set)} out of range for {n} sites")
-    keep_sorted = sorted(keep_set)
-    dims = rho.site_dims
-    tensor = rho.entries.reshape(dims + dims)
-    # contract row/column indices of every traced site
-    for site in sorted(set(range(n)) - keep_set, reverse=True):
-        cur = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=site, axis2=cur + site)
-    kept_dims = tuple(dims[i] for i in keep_sorted)
-    d_out = int(np.prod(kept_dims))
-    return DensityMatrix(kept_dims, tensor.reshape(d_out, d_out))
-
-
 def embed_site(x: np.ndarray, site: int, site_dims: Sequence[int]) -> np.ndarray:
-    """Embed a single-site operator as 1 x ... x X_site x ... x 1."""
+    """Embed a single-site operator as 1 x ... x X_site x ... x 1 (for the
+    dense oracle `collective_operator`; the benchmark tracer names it)."""
     dims = [int(d) for d in site_dims]
     if not 0 <= site < len(dims):
         raise ValueError(f"site {site} out of range")

@@ -4,9 +4,10 @@ Only block-size multisets matter here: both the stretchability condition
 max(parts) - len(parts) <= k and the quantity sum(parts^2) depend on
 sizes alone.  The bounds use the exact maximum M(N,k), computed in O(N)
 by block count, and `count_kstretch` counts the admissible partitions
-from partition numbers.  Partition enumeration and the paper's piecewise
-bracket stay as audit oracles: the bracket falls below the true M for
-some k < 0 and overshoots it for some small N (see `bracket_audit`).
+from partition numbers.  Enumeration serves the `--diagrams` listing and
+the random k-stretchable states; the paper's piecewise bracket for M,
+which falls below the true M for some k < 0 and overshoots it for some
+small N, and its audit against enumeration live with the test oracles.
 """
 
 from __future__ import annotations
@@ -104,23 +105,6 @@ def max_sum_squares(n: int, k: int) -> int:
     return best
 
 
-def closed_form_m(n: int, k: int) -> int | None:
-    """Piecewise bracket value for M; None when n+k = 1 (that case is a
-    standalone bound formula, not a bracket)."""
-    if k + n < 1:
-        raise ValueError(f"k + N = {k + n} < 1 has no admissible partition")
-    w = n + k
-    if w == 1:
-        return None
-    if w % 2 == 1:
-        return (w * w - 1) // 4 + n
-    if w == 10 and n >= 8:
-        return 34 - k
-    if w == 16 and n >= 12:
-        return 76 - k
-    return w * w // 4 + w // 2 + 2
-
-
 def young_diagram(parts: tuple[int, ...]) -> str:
     """ASCII Young diagram, one row of boxes per block, descending."""
     return "\n".join("■" * p for p in sorted(parts, reverse=True))
@@ -170,24 +154,3 @@ def bound_v(inputs: BoundInputs) -> float:
     beta [(d+1) N - 2M], which does not depend on s/t."""
     n = inputs.n
     return inputs.beta * ((inputs.d + 1) * n - 2 * inputs.max_squares)
-
-
-def bracket_audit(max_n: int = 14) -> list[dict]:
-    """Compare the closed-form bracket against enumeration for every
-    (N, k) with N <= max_n, N + k >= 2.  Returns one row per pair."""
-    rows = []
-    for n in range(2, max_n + 1):
-        for k in range(2 - n, n):
-            enum = max(sum(p * p for p in parts)
-                       for parts in enumerate_kstretch(n, k))
-            closed = closed_form_m(n, k)
-            rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "enumeration": enum,
-                    "closed_form": closed,
-                    "agree": enum == closed,
-                }
-            )
-    return rows

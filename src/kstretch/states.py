@@ -126,7 +126,8 @@ def state_vector(family: IsotropicFamily) -> np.ndarray:
 
 
 def materialize_dense(family: IsotropicFamily, p: float) -> DensityMatrix:
-    """rho(p) = p |psi><psi| + (1-p)/D as a rank-1 factor state."""
+    """rho(p) = p |psi><psi| + (1-p)/D as a rank-1 factor state.  The tool
+    does not call it: the dense tests and the benchmark's `dense-mixed` use it."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     return DensityMatrix.from_factor((family.d,) * family.n, state_vector(family)[:, None],

@@ -1,18 +1,29 @@
-"""Test oracles: the detection bounds as the paper writes them, in
-(r, chi, s, t), the single-site effect-square identities, the dense
-LHS in the full eigenbasis, random k-stretchable states summed as
-D x D matrices, and the 1- and 2-site reduced states of the built-in
-families.  The program computes the bounds from (beta, s/t), the dense LHS
-from the non-flat eigenvectors only, random states as factors and the
-families' generator moments in closed form; these independent forms check
-it."""
+"""Test and audit oracles: the detection bounds as the paper writes them,
+in (r, chi, s, t), and the paper's piecewise bracket for M with its audit
+against enumeration; the single-site effect-square identities and the
+pure-state block bounds; the paper's closed-form antisymmetric variance
+threshold; the skew information and variance of one observable, and the
+partial trace; the dense LHS in the full eigenbasis; random k-stretchable
+states summed as D x D matrices; and the 1- and 2-site reduced states of
+the built-in families.  The program computes the bounds from (beta, s/t)
+with the exact M, the dense LHS from the non-flat eigenvectors only, random
+states as factors and the families' generator moments in closed form;
+these independent forms check it, and none of them runs in the tool."""
+
+from typing import Sequence
 
 import numpy as np
 
 from kstretch.basis import gell_mann_basis
-from kstretch.infoquant import VARIANCE, _spectral_split, _weight_matrix
-from kstretch.linalg import DensityMatrix, check_hermitian
+from kstretch.infoquant import (
+    VARIANCE,
+    MonotoneFunctionSpec,
+    _weight_matrix,
+    collective_operator,
+)
+from kstretch.linalg import DensityMatrix, _spectral_split, check_hermitian
 from kstretch.partitions import enumerate_kstretch, max_sum_squares
+from kstretch.povm import SymmetricMeasurement
 
 
 def paper_bound_i(m, n: int, k: int) -> float:
@@ -47,6 +58,44 @@ def paper_bound_v(m, n: int, k: int) -> float:
     )
 
 
+def closed_form_m(n: int, k: int) -> int | None:
+    """Piecewise bracket value for M; None when n+k = 1 (that case is a
+    standalone bound formula, not a bracket)."""
+    if k + n < 1:
+        raise ValueError(f"k + N = {k + n} < 1 has no admissible partition")
+    w = n + k
+    if w == 1:
+        return None
+    if w % 2 == 1:
+        return (w * w - 1) // 4 + n
+    if w == 10 and n >= 8:
+        return 34 - k
+    if w == 16 and n >= 12:
+        return 76 - k
+    return w * w // 4 + w // 2 + 2
+
+
+def bracket_audit(max_n: int = 14) -> list[dict]:
+    """Compare the closed-form bracket against enumeration for every
+    (N, k) with N <= max_n, N + k >= 2.  Returns one row per pair."""
+    rows = []
+    for n in range(2, max_n + 1):
+        for k in range(2 - n, n):
+            enum = max(sum(p * p for p in parts)
+                       for parts in enumerate_kstretch(n, k))
+            closed = closed_form_m(n, k)
+            rows.append(
+                {
+                    "n": n,
+                    "k": k,
+                    "enumeration": enum,
+                    "closed_form": closed,
+                    "agree": enum == closed,
+                }
+            )
+    return rows
+
+
 def square_sum_scalar(d: int, s: int, t: int, r: float) -> float:
     """Scalar c with sum over (u,v) of A^2 = c * identity (the
     conical-design residual implies it, with c = alpha + beta d)."""
@@ -78,6 +127,103 @@ def probability_square_sum_pure(m) -> float:
     """The pure-state value (d-1)(d^2 + t^2 chi) / (d t (t-1))."""
     d, t, chi = m.d, m.t, m.chi
     return (d - 1) * (d**2 + t**2 * chi) / (d * t * (t - 1))
+
+
+def antisym_variance_threshold(n: int, r: float) -> float:
+    """Closed-form variance-criterion threshold for the antisymmetric
+    family with the (1, n^2)-POVM at construction parameter r."""
+    num = n**3 * (n + 1) * (n + 3) * r**2 + n + 1
+    den = n**3 * (n + 1) ** 2 * (n - 1) * r**2 + n - 1
+    return num / den
+
+
+def block_operator_bounds(m: SymmetricMeasurement, n: int) -> dict:
+    """Spectral check of the block operator inequality: every eigenvalue
+    of the effect-square sum on n sites lies between the two scalar
+    bounds (equal at n=1)."""
+    d, beta, s_over_t = m.d, m.beta, m.s / m.t
+    lower = beta * (d + 1) * n + (s_over_t - beta * (1 + 1 / d)) * n**2
+    upper = beta * (d - 1) * n + (s_over_t + beta * (1 - 1 / d)) * n**2
+    total = sum(
+        (lambda b: b @ b)(collective_operator(a, n)) for a in m.iter_effects()
+    )
+    evals = np.linalg.eigvalsh(total)
+    return {
+        "n": n,
+        "lower": float(lower),
+        "upper": float(upper),
+        "min_eigenvalue": float(evals[0]),
+        "max_eigenvalue": float(evals[-1]),
+        "ok": bool(evals[0] >= lower - 1e-9 and evals[-1] <= upper + 1e-9),
+        "equality": bool(n == 1),
+    }
+
+
+def block_probability_bounds(m: SymmetricMeasurement,
+                             psi: DensityMatrix) -> dict:
+    """Check the pure-state probability square-sum bounds on an n-site block."""
+    if psi.purity() < 1 - 1e-10:
+        raise ValueError(f"state is not pure (purity {psi.purity()})")
+    d, s_over_t = m.d, m.s / m.t
+    n = psi.n_sites
+    if set(psi.site_dims) != {d}:
+        raise ValueError("site dimensions do not match the measurement")
+    value = sum(
+        float(np.trace(collective_operator(a, n) @ psi.entries).real) ** 2
+        for a in m.iter_effects()
+    )
+    # (d^2-1)/(t(t-1)) = s/t, and the paper's chi term is s/t + beta (1-1/d)
+    lower = s_over_t * n
+    upper = (s_over_t + m.beta * (1 - 1 / d)) * n**2
+    return {
+        "n": n,
+        "value": float(value),
+        "lower": float(lower),
+        "upper": float(upper),
+        "ok": bool(lower - 1e-9 <= value <= upper + 1e-9),
+    }
+
+
+def skew_information(rho: DensityMatrix, x: np.ndarray,
+                     spec: MonotoneFunctionSpec) -> float:
+    """Metric-adjusted skew information of observable x in state rho."""
+    x = check_hermitian(x)
+    if x.shape[0] != rho.dim:
+        raise ValueError(f"observable dimension {x.shape[0]} != {rho.dim}")
+    evals, evecs = rho.spectrum
+    lam = _spectral_split(evals)[0]
+    return float(np.sum(_weight_matrix(lam, lam, spec)
+                        * np.abs(evecs.conj().T @ x @ evecs) ** 2))
+
+
+def variance(rho: DensityMatrix, x: np.ndarray) -> float:
+    """Tr(rho x^2) - [Tr(rho x)]^2."""
+    x = check_hermitian(x)
+    if x.shape[0] != rho.dim:
+        raise ValueError(f"observable dimension {x.shape[0]} != {rho.dim}")
+    mean = np.trace(rho.entries @ x).real
+    second = np.trace(rho.entries @ x @ x).real
+    return float(second - mean**2)
+
+
+def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
+    """Trace out all sites not in `keep`; kept sites stay in original order."""
+    keep_set = set(int(i) for i in keep)
+    n = rho.n_sites
+    if not keep_set:
+        raise ValueError("keep set must be nonempty")
+    if not keep_set <= set(range(n)):
+        raise ValueError(f"keep set {sorted(keep_set)} out of range for {n} sites")
+    keep_sorted = sorted(keep_set)
+    dims = rho.site_dims
+    tensor = rho.entries.reshape(dims + dims)
+    # contract row/column indices of every traced site
+    for site in sorted(set(range(n)) - keep_set, reverse=True):
+        cur = tensor.ndim // 2
+        tensor = np.trace(tensor, axis1=site, axis2=cur + site)
+    kept_dims = tuple(dims[i] for i in keep_sorted)
+    d_out = int(np.prod(kept_dims))
+    return DensityMatrix(kept_dims, tensor.reshape(d_out, d_out))
 
 
 def _apply_collective(a: np.ndarray, n: int, vecs: np.ndarray) -> np.ndarray:

@@ -11,31 +11,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from numpy import kron
+
 from conftest import random_density, random_hermitian, random_pure
 from kstretch.basis import gell_mann_basis, group_basis
-from kstretch.criteria import (
-    antisym_variance_threshold,
-    block_operator_bounds,
-    block_probability_bounds,
-    evaluate,
-    random_kstretchable_density,
-    threshold_p,
-)
+from kstretch.criteria import evaluate, random_kstretchable_density, threshold_p
 from kstretch.infoquant import (
     QFI,
     VARIANCE,
     WYD_HALF,
     criterion_lhs_dense,
     criterion_lhs_isotropic,
-    skew_information,
-    variance,
 )
-from kstretch.linalg import DensityMatrix, kron
-from kstretch.partitions import bracket_audit, max_sum_squares
+from kstretch.linalg import DensityMatrix
+from kstretch.partitions import max_sum_squares
 from kstretch.povm import build_b_operators, build_stpovm, certification_residuals, \
     r_range
 from kstretch.states import antisymmetric_state, effect_moments, ghz_qudit, \
     materialize_dense
+from oracles import (
+    antisym_variance_threshold,
+    block_operator_bounds,
+    block_probability_bounds,
+    bracket_audit,
+    skew_information,
+    variance,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

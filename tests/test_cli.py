@@ -251,9 +251,10 @@ def test_output_stream_not_retained(command):
 def test_threshold_antisym(runner):
     result = runner.invoke(main, [
         "threshold", "--family", "antisym", "--n", "3", "--k", "0",
-        "--f", "variance"])
+        "--f", "variance", "--d", "7"])
     assert result.exit_code == 0, result.output
     lines = result.output.strip().split("\n")
+    assert "d" not in json.loads(lines[0].split(" = ", 1)[1])  # antisym reads d = N, not --d
     assert lines[1] == "N,k,f,criterion,p_star"
     fields = lines[2].split(",")
     assert fields[:4] == ["3", "0", "variance", "variance"]
@@ -311,6 +312,13 @@ def test_partitions_output(runner):
     assert "2 -2-stretchable partition(s) of 5" in result.output
     assert "max sum of squared block sizes: 7" in result.output
     assert "I bound:" in result.output and "V bound:" in result.output
+
+
+@pytest.mark.parametrize("n", [-3, 0])
+def test_partitions_rejects_n_below_one(runner, n):
+    result = runner.invoke(main, ["partitions", "--n", str(n), "--k", "5"])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '--n': N = {n} must be >= 1" in result.output
 
 
 def test_threshold_non_monotone_fails_with_intervals(runner, monkeypatch):
@@ -511,7 +519,8 @@ def test_malformed_config_is_usage_error(runner, tmp_path, text, message):
             in result.output)
 
 
-@pytest.mark.parametrize("value", ["wydzzz", "qfix", "variances", "WYD"])
+@pytest.mark.parametrize("value", ["wydzzz", "qfix", "variances", "WYD",
+                                   "wyd:abc", "wyd:", "wyd:2", "wyd:nan"])
 @pytest.mark.parametrize("command", ["criteria", "threshold"])
 def test_f_accepts_only_documented_values(runner, monkeypatch, command, value):
     """--f is qfi, wyd, wyd:<omega>, variance or all; anything else is a usage

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from conftest import all_families, random_density
-from oracles import dense_kstretchable_entries
+from oracles import (
+    antisym_variance_threshold,
+    block_operator_bounds,
+    block_probability_bounds,
+    dense_kstretchable_entries,
+)
 from kstretch import criteria, infoquant, linalg, partitions, states
 from kstretch.basis import gell_mann_basis
 from kstretch.criteria import (
     VERDICT_MARGIN,
     CriterionReport,
     NonMonotoneIndicatorError,
-    antisym_variance_threshold,
-    block_operator_bounds,
-    block_probability_bounds,
     evaluate,
     evaluate_sweep,
     random_kstretchable_density,

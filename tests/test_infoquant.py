@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy import kron
 
 from conftest import random_density, random_hermitian, random_pure
 from kstretch.basis import gell_mann_basis
@@ -17,18 +18,21 @@ from kstretch.infoquant import (
     CollectiveMoments,
     DenseSizeError,
     MonotoneFunctionSpec,
-    _spectral_split,
     collective_moments_from_rdms,
     collective_operator,
     criterion_lhs_dense,
     criterion_lhs_isotropic,
+)
+from kstretch.linalg import DensityMatrix, Spectrum, _spectral_split
+from kstretch.povm import build_stpovm
+from kstretch.states import antisymmetric_state, effect_moments, ghz_qudit, materialize_dense
+from oracles import (
+    family_reduced_states,
+    full_basis_lhs_dense,
+    partial_trace,
     skew_information,
     variance,
 )
-from kstretch.linalg import DensityMatrix, Spectrum, kron, partial_trace
-from kstretch.povm import build_stpovm
-from kstretch.states import antisymmetric_state, effect_moments, ghz_qudit, materialize_dense
-from oracles import family_reduced_states, full_basis_lhs_dense
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy import kron
 
 from conftest import random_density, random_hermitian, random_pure
 from kstretch.linalg import (
@@ -10,9 +11,8 @@ from kstretch.linalg import (
     embed_site,
     hermitian_eig,
     hs_inner,
-    kron,
-    partial_trace,
 )
+from oracles import partial_trace
 
 
 def test_check_hermitian_accepts_and_rejects():

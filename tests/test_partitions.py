@@ -13,15 +13,13 @@ from kstretch.partitions import (
     BoundInputs,
     bound_i,
     bound_v,
-    bracket_audit,
-    closed_form_m,
     count_kstretch,
     enumerate_kstretch,
     max_sum_squares,
     stretchability,
     young_diagram,
 )
-from oracles import paper_bound_i, paper_bound_v
+from oracles import bracket_audit, closed_form_m, paper_bound_i, paper_bound_v
 
 
 def test_count_matches_enumeration():

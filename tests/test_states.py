@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import random_pure
-from oracles import family_reduced_states
+from oracles import family_reduced_states, partial_trace
 from kstretch.infoquant import DenseSizeError, collective_moments_from_rdms
-from kstretch.linalg import partial_trace
 from kstretch.states import (
     antisymmetric_state,
     custom_state,

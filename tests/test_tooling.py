@@ -1,6 +1,8 @@
 """The benchmark's tracer and workloads bind program functions by name; keep
-them resolvable and callable, and keep the import cost of every CLI call small."""
+them resolvable and callable, keep the import cost of every CLI call small,
+and keep src/ free of definitions that neither the tool nor the benchmark calls."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -8,6 +10,7 @@ import io
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ from kstretch import cli
 from oracles import paper_bound_i, paper_bound_v
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kstretch"
 
 
 def load_perfbench(name: str):
@@ -51,6 +55,73 @@ def test_tracer_target_resolves(key, target):
         assert hasattr(owner, part), f"{key}: {module_name}.{attr} is gone"
         owner = getattr(owner, part)
     assert callable(owner), key
+
+
+def _attribute_root(node: ast.Attribute) -> ast.expr:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often `tree` reads each name: loaded names, and attributes except
+    those of numpy (`np.kron` is no use of a `kron`)."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        elif (isinstance(node, ast.Attribute)
+              and getattr(_attribute_root(node), "id", None) not in ("np", "numpy")):
+            reads[node.attr] += 1
+    return reads
+
+
+def _is_click_command(node: ast.AST) -> bool:
+    return any(isinstance(dec, ast.Call) and isinstance(dec.func, ast.Attribute)
+               and dec.func.attr in ("command", "group") for dec in node.decorator_list)
+
+
+def _benchmark_names() -> set:
+    """The program names the benchmark binds: the tracer's TARGETS, and what
+    perfbench/workloads.py imports from kstretch or reads as module.attr of a
+    kstretch module."""
+    names = {attr.split(".")[0] for _, attr in tracer_targets().values()}
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kstretch"):
+            names |= {alias.name for alias in node.names}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            names.add(node.attr)
+    return names
+
+
+def test_every_package_definition_has_a_caller():
+    """Each top-level def and class in src/kstretch is a click command, is
+    bound by the benchmark, or is read by module-level code or a def that
+    is itself live (re-exports from __init__ do not count, nor does a read
+    from a callerless def); oracles with no caller belong in tests/oracles.py."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    defs, live = {}, _benchmark_names()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = (module, node)
+                if _is_click_command(node):
+                    live.add(node.name)
+            else:
+                live |= set(_reads(node))
+    todo = [name for name in live if name in defs]
+    while todo:
+        for read in _reads(defs[todo.pop()][1]):
+            if read in defs and read not in live:
+                live.add(read)
+                todo.append(read)
+    callerless = sorted(f"{module}.{name}" for name, (module, _) in defs.items()
+                        if name not in live)
+    assert not callerless, f"no caller in src/ or perfbench: {callerless}"
 
 
 def test_benchmark_workloads_call_bounds():
