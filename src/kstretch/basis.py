@@ -10,7 +10,6 @@ constructed measurements deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,33 +20,11 @@ class InformationalCompletenessError(ValueError):
 
 @dataclass(frozen=True)
 class OperatorBasis:
-    """Orthonormal traceless Hermitian operators on a d-dimensional space.
-
-    `grouping` maps (u, v) with u in 1..s, v in 1..t-1 to an index into
-    `ops`; it is None for an ungrouped basis.
-    """
+    """Orthonormal traceless Hermitian operators on a d-dimensional space,
+    in the order above; `group_basis` lays them out as the (u, v) grid."""
 
     d: int
     ops: tuple[np.ndarray, ...]
-    grouping: Optional[dict[tuple[int, int], int]] = None
-
-    @property
-    def s(self) -> int:
-        if self.grouping is None:
-            raise ValueError("basis is not grouped")
-        return max(u for u, _ in self.grouping)
-
-    @property
-    def t(self) -> int:
-        if self.grouping is None:
-            raise ValueError("basis is not grouped")
-        return max(v for _, v in self.grouping) + 1
-
-    def op(self, u: int, v: int) -> np.ndarray:
-        """Basis element C^(uv) for u in 1..s, v in 1..t-1."""
-        if self.grouping is None:
-            raise ValueError("basis is not grouped")
-        return self.ops[self.grouping[(u, v)]]
 
 
 def gell_mann_basis(d: int) -> OperatorBasis:
@@ -74,8 +51,10 @@ def gell_mann_basis(d: int) -> OperatorBasis:
     return OperatorBasis(d, tuple(ops))
 
 
-def group_basis(basis: OperatorBasis, s: int, t: int) -> OperatorBasis:
-    """Partition the traceless operators into s groups of t-1."""
+def group_basis(basis: OperatorBasis, s: int, t: int) -> np.ndarray:
+    """The traceless operators as the s x (t-1) grid of C^(uv), an
+    (s, t-1, d, d) array: C^(uv) is ops[(u-1)(t-1) + (v-1)], a row-major
+    reshape of the flat order."""
     d = basis.d
     if s < 1 or t < 2:
         raise InformationalCompletenessError(f"invalid family (s={s}, t={t})")
@@ -86,9 +65,4 @@ def group_basis(basis: OperatorBasis, s: int, t: int) -> OperatorBasis:
             f"s(t-1) = {s * (t - 1)} != d^2 - 1 = {d * d - 1} for d={d}; "
             f"admissible (s,t) for d={d}: {admissible}"
         )
-    grouping = {
-        (u, v): (u - 1) * (t - 1) + (v - 1)
-        for u in range(1, s + 1)
-        for v in range(1, t)
-    }
-    return OperatorBasis(d, basis.ops, grouping)
+    return np.array(basis.ops).reshape(s, t - 1, d, d)

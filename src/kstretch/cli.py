@@ -17,11 +17,7 @@ import click
 import numpy as np
 
 from .basis import gell_mann_basis
-from .criteria import (
-    NonMonotoneIndicatorError,
-    evaluate_sweep,
-    threshold_p,
-)
+from .criteria import evaluate_sweep, threshold_p
 from .infoquant import VARIANCE, MonotoneFunctionSpec
 from .partitions import (
     BoundInputs,
@@ -301,7 +297,7 @@ def cmd_threshold(ctx, family, state_file, d, n, k, s, t, r, f_choice, out_forma
                 criterion = "variance" if quantity == VARIANCE else "skew"
                 p_star = threshold_p(fam, m, quantity, k_val)
                 rows.append((n_val, k_val, label, criterion, p_star))
-    except (NonMonotoneIndicatorError, ValueError) as exc:
+    except ValueError as exc:
         _fail(exc)
     cfg = _config_echo(ctx.params)
     if out_format == "json":

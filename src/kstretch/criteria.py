@@ -33,16 +33,6 @@ VERDICT_MARGIN = 1e-9
 Quantity = Union[MonotoneFunctionSpec, str]
 
 
-class NonMonotoneIndicatorError(RuntimeError):
-    """Raised when the set of violating p in [0,1] is not one interval [p*, 1]."""
-
-    def __init__(self, intervals: list[tuple[float, float]]):
-        self.intervals = intervals
-        spans = ", ".join(f"[{lo:.12g}, {hi:.12g}]" for lo, hi in intervals)
-        super().__init__(f"the inequality is violated for p in {spans}, "
-                         "not on one interval ending at p = 1")
-
-
 @dataclass(frozen=True)
 class CriterionReport:
     """Both inequalities evaluated on one state."""
@@ -153,14 +143,14 @@ def evaluate_sweep(family: IsotropicFamily, m: SymmetricMeasurement, k: int,
 def threshold_p(family: IsotropicFamily, m: SymmetricMeasurement,
                 quantity: Quantity, k: int) -> Optional[float]:
     """The noise threshold: the least float p in [0,1] at which `evaluate`
-    reports the chosen inequality violated, found by bisecting that verdict.
+    reports the chosen inequality violated, or None if p = 1 is not; quantity
+    is a MonotoneFunctionSpec (skew inequality) or VARIANCE.
 
-    quantity selects the criterion: a MonotoneFunctionSpec runs the
-    skew-information inequality, VARIANCE the variance inequality.
-    Returns None when no p in [0,1] is violated, and 0.0 when every p is.
-    Raises NonMonotoneIndicatorError, with the violation intervals (each
-    inner endpoint the first float past the switch), when the violating p do
-    not form one interval [p*, 1].
+    One bisection on [0, 1] finds it.  At p = 0 the state is 1/D, which no
+    verdict calls k-nonstretchable: its skew LHS is 0 < bound_i, and its
+    variance LHS beta (d^2-1) N/d exceeds bound_v = beta[(d+1)N - 2M], at most
+    beta (d-1) N, by beta N (1-1/d) or more.  The skew LHS rises with p and the
+    variance LHS is concave, so the violating p are one interval [p*, 1].
     """
     n, d = family.n, family.d
     moments = _moments(family, m)
@@ -171,28 +161,13 @@ def threshold_p(family: IsotropicFamily, m: SymmetricMeasurement,
         lhs = criterion_lhs_isotropic(moments, beta, p, d, n, quantity)
         return _violates(quantity, lhs, i_bd, v_bd)
 
-    if quantity != VARIANCE:  # the skew LHS rises with p
-        if not violated(1.0):
-            return None
-        return 0.0 if violated(0.0) else _first(violated, 0.0, 1.0)
-    # the variance LHS is concave in p: it rises to its peak at top, then falls
-    slope = moments.s2 - (d * d - 1) * n / d
-    top = (min(max(slope / (2.0 * moments.s1), 0.0), 1.0) if moments.s1
-           else float(slope > 0.0))
-    if violated(top):
-        return 0.0
-    r1 = _first(lambda p: not violated(p), 0.0, top) if violated(0.0) else None
-    r2 = _first(violated, top, 1.0) if violated(1.0) else None
-    if r1 is not None:
-        raise NonMonotoneIndicatorError(
-            [(0.0, r1)] + ([(r2, 1.0)] if r2 is not None else []))
-    return r2
+    return _first(violated, 0.0, 1.0) if violated(1.0) else None
 
 
 def _first(holds: Callable[[float], bool], lo: float, hi: float) -> float:
     """The least float in (lo, hi] at which `holds` is true, for a `holds`
-    false at lo, true at hi and switching once: bisect in floats until the
-    midpoint is an endpoint."""
+    false at lo and true from one switch point up to hi: bisect in floats
+    until the midpoint is an endpoint."""
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (lo, mid) if holds(mid) else (mid, hi)
     return hi

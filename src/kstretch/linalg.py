@@ -32,11 +32,6 @@ def check_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return a
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Hilbert-Schmidt inner product Tr(a b) of two Hermitian matrices."""
-    return float(np.real(np.trace(a @ b)))
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Unit-trace PSD Hermitian operator on a tensor-product space, given by
@@ -130,9 +125,6 @@ class DensityMatrix:
     @property
     def n_sites(self) -> int:
         return len(self.site_dims)
-
-    def purity(self) -> float:
-        return hs_inner(self.entries, self.entries)
 
 
 class Spectrum(NamedTuple):

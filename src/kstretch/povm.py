@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import InformationalCompletenessError, OperatorBasis
+from .basis import InformationalCompletenessError, OperatorBasis, group_basis
 from .linalg import HERMITICITY_TOL
 
 SYMMETRY_TOL = 1e-10
@@ -33,13 +33,10 @@ class ConstructionError(ValueError):
     """Raised when a measurement fails its certification identities."""
 
 
-def build_b_operators(basis: OperatorBasis) -> np.ndarray:
-    """The traceless B^(uv) operators of the general construction, (s, t, d, d)."""
-    if basis.grouping is None:
-        raise ValueError("basis must be grouped before building a measurement")
-    s, t = basis.s, basis.t
-    sqt = np.sqrt(t)
-    c = np.array([[basis.op(u, v) for v in range(1, t)] for u in range(1, s + 1)])
+def build_b_operators(c: np.ndarray) -> np.ndarray:
+    """The traceless B^(uv) operators of the general construction, (s, t, d, d),
+    from the (s, t-1, d, d) grid of C^(uv) that `group_basis` returns."""
+    sqt = np.sqrt(c.shape[1] + 1)
     c_u = c.sum(axis=1, keepdims=True)
     return np.concatenate([c_u - sqt * (sqt + 1) * c, (sqt + 1) * c_u], axis=1)
 
@@ -92,10 +89,6 @@ class SymmetricMeasurement:
         """SWAP weight r^2 t (sqrt(t)+1)^2 of the certified conical 2-design
         sum_uv A (x) A = (s/t - beta/d) 1 + beta SWAP."""
         return self.r**2 * self.t * (np.sqrt(self.t) + 1) ** 2
-
-    def effect(self, u: int, v: int) -> np.ndarray:
-        """Effect A^(uv) for u in 1..s, v in 1..t."""
-        return self.effects[u - 1][v - 1]
 
     def iter_effects(self):
         for row in self.effects:
@@ -186,16 +179,14 @@ def chi_of_r(d: int, t: int, r: float) -> float:
 
 def build_stpovm(basis: OperatorBasis, s: int, t: int,
                  r: float | str = "max") -> SymmetricMeasurement:
-    """Build the (s,t)-POVM A^(uv) = 1/t + r B^(uv) from a grouped basis.
+    """Build the (s,t)-POVM A^(uv) = 1/t + r B^(uv) from a basis and its
+    (s, t-1) grouping.
 
     r="max" selects the chi-maximizing endpoint
     max{1/(t lambda_max), 1/(t |lambda_min|)} with positive sign.
     """
-    if basis.grouping is None or basis.s != s or basis.t != t:
-        from .basis import group_basis
-        basis = group_basis(basis, s, t)
     d = basis.d
-    b_ops = build_b_operators(basis)
+    b_ops = build_b_operators(group_basis(basis, s, t))
     r_neg, r_pos = r_range(b_ops)
     r_val = max(abs(r_neg), r_pos) if r == "max" else float(r)
     slack = 1e-12 * max(abs(r_neg), r_pos)

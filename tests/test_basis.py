@@ -39,15 +39,13 @@ def test_invalid_dimension():
 @pytest.mark.parametrize("d,s,t", [(2, 1, 4), (2, 3, 2), (3, 1, 9), (3, 4, 3),
                                    (3, 8, 2), (3, 2, 5), (4, 5, 4), (5, 6, 5)])
 def test_grouping_valid_families(d, s, t):
-    grouped = group_basis(gell_mann_basis(d), s, t)
-    assert grouped.s == s and grouped.t == t
-    seen = set()
+    """C^(uv) is the basis element at flat index (u-1)(t-1) + (v-1)."""
+    basis = gell_mann_basis(d)
+    grid = group_basis(basis, s, t)
+    assert grid.shape == (s, t - 1, d, d)
     for u in range(1, s + 1):
         for v in range(1, t):
-            idx = grouped.grouping[(u, v)]
-            assert idx == (u - 1) * (t - 1) + (v - 1)
-            seen.add(idx)
-    assert seen == set(range(d * d - 1))
+            assert np.array_equal(grid[u - 1, v - 1], basis.ops[(u - 1) * (t - 1) + (v - 1)])
 
 
 def test_grouping_rejects_incomplete():
@@ -56,11 +54,3 @@ def test_grouping_rejects_incomplete():
         group_basis(basis, 2, 4)
     with pytest.raises(InformationalCompletenessError):
         group_basis(basis, 8, 1)
-
-
-def test_ungrouped_access_raises():
-    basis = gell_mann_basis(2)
-    with pytest.raises(ValueError):
-        basis.op(1, 1)
-    with pytest.raises(ValueError):
-        _ = basis.s

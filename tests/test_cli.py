@@ -9,7 +9,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
-from kstretch import cli, criteria, povm
+from kstretch import cli, povm
 from kstretch.basis import gell_mann_basis
 from kstretch.cli import CSV_HEADER, fmt, main
 from kstretch.criteria import threshold_p
@@ -319,18 +319,6 @@ def test_partitions_rejects_n_below_one(runner, n):
     result = runner.invoke(main, ["partitions", "--n", str(n), "--k", "5"])
     assert result.exit_code == 2, result.output
     assert f"Invalid value for '--n': N = {n} must be >= 1" in result.output
-
-
-def test_threshold_non_monotone_fails_with_intervals(runner, monkeypatch):
-    """A violation set that is not [p*, 1] exits 1 and names its intervals."""
-    m = build_stpovm(gell_mann_basis(3), 1, 9)
-    monkeypatch.setattr(criteria, "_bounds",
-                        lambda m_, n, k: (1.0, m.beta * 14.0 + criteria.VERDICT_MARGIN))
-    result = runner.invoke(main, ["threshold", "--family", "ghz", "--n", "4",
-                                  "--f", "variance"])
-    assert result.exit_code == 1
-    assert result.output == ("error: the inequality is violated for p in "
-                             "[0, 0.416666666667], not on one interval ending at p = 1\n")
 
 
 def test_partitions_diagrams(runner):

@@ -1,5 +1,6 @@
 """Verdicts, thresholds, auxiliary bound checks, random state generation."""
 
+import functools
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from kstretch.basis import gell_mann_basis
 from kstretch.criteria import (
     VERDICT_MARGIN,
     CriterionReport,
-    NonMonotoneIndicatorError,
     evaluate,
     evaluate_sweep,
     random_kstretchable_density,
@@ -318,20 +318,42 @@ def test_antisym_closed_formula_shape():
 @pytest.mark.parametrize("family_kind", ORACLE_FAMILIES, ids=str)
 def test_threshold_matches_grid_bisection_oracle(family_kind):
     """The exact roots agree with the grid-plus-bisection solver within its
-    1e-6 width, with the same None and non-monotone pattern."""
+    1e-6 width, with the same None pattern.  No verdict holds at p = 0, where
+    every state is 1/D, and the grid never flips back: threshold_p bisects
+    once on [0, 1] because of it."""
     for family, m, k in oracle_cases(family_kind):
         for quantity in ORACLE_QUANTITIES:
             expected = grid_bisection_threshold(family, m, quantity, k)
             where = (family.kind, family.n, k, quantity)
-            if expected == NON_MONOTONE:
-                with pytest.raises(NonMonotoneIndicatorError):
-                    threshold_p(family, m, quantity, k)
-                continue
+            assert not _violated(family, m, quantity, k)(0.0), where
+            assert expected != NON_MONOTONE, where
             p_star = threshold_p(family, m, quantity, k)
             if expected is None:
                 assert p_star is None, where
             else:
                 assert p_star == pytest.approx(expected, abs=ORACLE_WIDTH), where
+
+
+def test_no_verdict_at_p0_large_n_small_r(monkeypatch):
+    """No verdict at p = 0 for GHZ at N up to 10^6 and r down to r_max 1e-6,
+    and the variance LHS of 1/D, beta (d^2-1) N/d, exceeds bound_v by at
+    least beta N (1 - 1/d), with equality at k = 1-N (M = N).  N = 10^6 runs
+    the two smallest k only, whose M is cheap."""
+    monkeypatch.setattr(partitions, "max_sum_squares", functools.cache(max_sum_squares))
+    cases = [(build_stpovm(gell_mann_basis(d), s, t), scale)
+             for d, s, t in ((2, 3, 2), (2, 1, 4), (3, 8, 2), (3, 1, 9))
+             for scale in (1.0, 1e-3, 1e-6)]
+    for m_max, scale in cases:
+        d = m_max.d
+        m = build_stpovm(gell_mann_basis(d), m_max.s, m_max.t, m_max.r * scale)
+        for n in (2, 10, 1000, 10**6):
+            for k in sorted({1 - n, 3 - n} | ({0, n - 1} if n <= 1000 else set())):
+                where = (d, m.s, m.t, scale, n, k)
+                for quantity in (QFI, WYD_HALF, VARIANCE):
+                    assert not _violated(ghz_qudit(d, n), m, quantity, k)(0.0), (where, quantity)
+                mixed = m.beta * (d * d - 1) * n / d
+                gap = mixed - bound_v(BoundInputs.from_measurement(m, n, k))
+                assert gap >= m.beta * n * (1 - 1 / d) - 1e-12 * mixed, where
 
 
 @pytest.mark.parametrize("family_kind", ORACLE_FAMILIES, ids=str)
@@ -393,38 +415,6 @@ def test_threshold_returns_builtin_float(m19):
     assert type(threshold_p(antisymmetric_state(3), m19, VARIANCE, k=0)) is float
 
 
-def _with_v_bound(monkeypatch, value):
-    monkeypatch.setattr(criteria, "_bounds", lambda m, n, k: (1.0, value))
-
-
-def test_variance_violated_below_root_raises(m19, monkeypatch):
-    """GHZ has s1 = 0: the variance sum rises linearly from beta K at p=0 to
-    beta F_psi at p=1, so a bound between them is violated on [0, p0)."""
-    n, d = 4, 3
-    mixed, f_psi = (d * d - 1) * n / d, (1 - 1 / d) * n * n + (d - 1) * n
-    _with_v_bound(monkeypatch, m19.beta * 14.0 + VERDICT_MARGIN)
-    with pytest.raises(NonMonotoneIndicatorError) as info:
-        threshold_p(ghz_qudit(d, n), m19, VARIANCE, k=-1)
-    [(lo, hi)] = info.value.intervals
-    assert lo == 0.0 and hi == pytest.approx((14.0 - mixed) / (f_psi - mixed), rel=1e-12)
-    assert "violated for p in [0, 0.416666666667]" in str(info.value)
-
-
-def test_variance_two_interval_violation(m14, monkeypatch):
-    """On |000> the variance sum is beta (4.5 + 3p - 4.5p^2), largest at p=1/3:
-    a bound of beta 4.75 is violated on two intervals, beta 5.5 on all of [0,1]."""
-    family = custom_state([2, 2, 2], np.eye(8)[0])
-    _with_v_bound(monkeypatch, m14.beta * 4.75 + VERDICT_MARGIN)
-    with pytest.raises(NonMonotoneIndicatorError) as info:
-        threshold_p(family, m14, VARIANCE, k=0)
-    roots = (3 - np.sqrt(4.5)) / 9, (3 + np.sqrt(4.5)) / 9
-    [(a, b), (c, e)] = info.value.intervals
-    assert (a, e) == (0.0, 1.0)
-    assert (b, c) == pytest.approx(roots, rel=1e-12)
-    _with_v_bound(monkeypatch, m14.beta * 5.5)
-    assert threshold_p(family, m14, VARIANCE, k=0) == 0.0
-
-
 def _first_at(holds, p):
     """`holds` is true at p and false at the float below it."""
     return holds(p) and not holds(math.nextafter(p, 0.0))
@@ -442,30 +432,6 @@ def contract_cases(case):
             yield ghz_qudit(2, n), m, k
 
 
-def _check_first_floats(family, m, quantity, k):
-    """Wherever 0 < p* < 1, p* is the least float at which the verdict is
-    violated; each inner endpoint of a violation interval is the first float
-    past its switch.  Returns the number of floats checked."""
-    violated = _violated(family, m, quantity, k)
-    where = (family.kind, family.n, k, quantity)
-    try:
-        p_star = threshold_p(family, m, quantity, k)
-    except NonMonotoneIndicatorError as exc:
-        checked = 0
-        for lo, hi in exc.intervals:
-            if lo > 0.0:
-                assert _first_at(violated, lo), (where, lo)
-                checked += 1
-            if hi < 1.0:
-                assert _first_at(lambda p: not violated(p), hi), (where, hi)
-                checked += 1
-        return checked
-    if p_star is None or not 0.0 < p_star < 1.0:
-        return 0
-    assert _first_at(violated, p_star), (where, p_star)
-    return 1
-
-
 @pytest.mark.parametrize("case", ORACLE_FAMILIES + ["ghz-232-k"], ids=str)
 def test_threshold_is_least_violated_float(case):
     """The verdict holds at p* and not at math.nextafter(p*, 0), for every
@@ -473,16 +439,10 @@ def test_threshold_is_least_violated_float(case):
     threshold once sat 2 ulps below the first violated float."""
     for family, m, k in contract_cases(case):
         for quantity in ORACLE_QUANTITIES:
-            _check_first_floats(family, m, quantity, k)
-
-
-def test_violation_interval_endpoints_are_first_floats(m19, m14, monkeypatch):
-    """The endpoints that NonMonotoneIndicatorError reports follow the same
-    contract: one left interval on GHZ, two intervals on |000>."""
-    _with_v_bound(monkeypatch, m19.beta * 14.0 + VERDICT_MARGIN)
-    assert _check_first_floats(ghz_qudit(3, 4), m19, VARIANCE, -1) == 1
-    _with_v_bound(monkeypatch, m14.beta * 4.75 + VERDICT_MARGIN)
-    assert _check_first_floats(custom_state([2, 2, 2], np.eye(8)[0]), m14, VARIANCE, 0) == 2
+            p_star = threshold_p(family, m, quantity, k)
+            if p_star is not None and 0.0 < p_star < 1.0:
+                violated = _violated(family, m, quantity, k)
+                assert _first_at(violated, p_star), (family.kind, family.n, k, quantity, p_star)
 
 
 def test_threshold_computes_moments_once_per_family(m19, monkeypatch):

@@ -10,7 +10,6 @@ from kstretch.linalg import (
     check_hermitian,
     embed_site,
     hermitian_eig,
-    hs_inner,
 )
 from oracles import partial_trace
 
@@ -38,12 +37,6 @@ def test_non_finite_entries_rejected(bad, where):
         DensityMatrix((2,), a)
 
 
-def test_hs_inner_matches_trace(rng):
-    a = random_hermitian(rng, 4)
-    b = random_hermitian(rng, 4)
-    assert hs_inner(a, b) == pytest.approx(np.trace(a @ b).real, abs=1e-12)
-
-
 def test_density_matrix_validation():
     with pytest.raises(ValueError, match="trace"):
         DensityMatrix((2,), np.eye(2))
@@ -53,7 +46,6 @@ def test_density_matrix_validation():
         DensityMatrix((2, 2), np.eye(2) / 2)
     rho = DensityMatrix((2, 3), np.eye(6) / 6)
     assert rho.dim == 6 and rho.n_sites == 2
-    assert rho.purity() == pytest.approx(1 / 6)
 
 
 def test_psd_validation_boundary(rng):

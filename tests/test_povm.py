@@ -234,7 +234,7 @@ def test_effects_read_only(m14):
         with pytest.raises(ValueError, match="read-only"):
             m.effects[0][0][0, 0] = 5
         with pytest.raises(ValueError, match="read-only"):
-            m.effect(1, 2)[1, 1] = 5
+            m.effects[0, 1][1, 1] = 5
         for a in m.iter_effects():
             with pytest.raises(ValueError, match="read-only"):
                 a += 1

@@ -10,7 +10,6 @@ import io
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -63,17 +62,18 @@ def _attribute_root(node: ast.Attribute) -> ast.expr:
     return node
 
 
-def _reads(tree: ast.AST) -> Counter:
-    """How often `tree` reads each name: loaded names, and attributes except
-    those of numpy (`np.kron` is no use of a `kron`)."""
-    reads = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            reads[node.id] += 1
-        elif (isinstance(node, ast.Attribute)
-              and getattr(_attribute_root(node), "id", None) not in ("np", "numpy")):
-            reads[node.attr] += 1
-    return reads
+def _reads(*trees: ast.AST) -> tuple[set, set]:
+    """The names `trees` load, and the attributes they read except those of
+    numpy (`np.kron` is no use of a `kron`)."""
+    names, attrs = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and getattr(_attribute_root(node), "id", None) not in ("np", "numpy")):
+                attrs.add(node.attr)
+    return names, attrs
 
 
 def _is_click_command(node: ast.AST) -> bool:
@@ -81,11 +81,13 @@ def _is_click_command(node: ast.AST) -> bool:
                and dec.func.attr in ("command", "group") for dec in node.decorator_list)
 
 
-def _benchmark_names() -> set:
+def _benchmark_names() -> tuple[set, set]:
     """The program names the benchmark binds: the tracer's TARGETS, and what
     perfbench/workloads.py imports from kstretch or reads as module.attr of a
-    kstretch module."""
-    names = {attr.split(".")[0] for _, attr in tracer_targets().values()}
+    kstretch module; and the attributes it reads, the methods of TARGETS
+    among them."""
+    targets = [attr.split(".") for _, attr in tracer_targets().values()]
+    names = {parts[0] for parts in targets}
     modules = {path.stem for path in PACKAGE.glob("*.py")}
     tree = ast.parse((PERFBENCH / "workloads.py").read_text())
     for node in ast.walk(tree):
@@ -94,33 +96,65 @@ def _benchmark_names() -> set:
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id in modules):
             names.add(node.attr)
-    return names
+    return names, _reads(tree)[1] | {parts[-1] for parts in targets if len(parts) > 1}
+
+
+def _units(module: str, tree: ast.Module):
+    """(label, class or None, name, body reads) for each top-level def and
+    each non-dunder method or property of a top-level class; a class's own
+    reads are its decorators, bases, class-level statements and dunders."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", None, node.name, _reads(node)
+        elif isinstance(node, ast.ClassDef):
+            own = []
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield (f"{module}.{node.name}.{item.name}", node.name, item.name,
+                           _reads(item))
+                else:
+                    own.append(item)
+            yield (f"{module}.{node.name}", None, node.name,
+                   _reads(*own, *node.decorator_list, *node.bases, *node.keywords))
 
 
 def test_every_package_definition_has_a_caller():
     """Each top-level def and class in src/kstretch is a click command, is
-    bound by the benchmark, or is read by module-level code or a def that
-    is itself live (re-exports from __init__ do not count, nor does a read
-    from a callerless def); oracles with no caller belong in tests/oracles.py."""
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
-    defs, live = {}, _benchmark_names()
-    for module, tree in trees.items():
+    bound by the benchmark, or is read by module-level code or a live def;
+    each non-dunder method or property of a live class is read as an
+    attribute by live code or by perfbench/workloads.py, and only a live
+    method's reads count.  Re-exports from __init__ do not count; oracles
+    with no caller belong in tests/oracles.py."""
+    names, attrs = _benchmark_names()
+    units = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        units += _units(path.stem, tree)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs[node.name] = (module, node)
-                if _is_click_command(node):
-                    live.add(node.name)
-            else:
-                live |= set(_reads(node))
-    todo = [name for name in live if name in defs]
-    while todo:
-        for read in _reads(defs[todo.pop()][1]):
-            if read in defs and read not in live:
-                live.add(read)
-                todo.append(read)
-    callerless = sorted(f"{module}.{name}" for name, (module, _) in defs.items()
-                        if name not in live)
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                more_names, more_attrs = _reads(node)
+                names |= more_names
+                attrs |= more_attrs
+            elif _is_click_command(node):
+                names.add(node.name)
+    live_labels, live_defs = set(), set()
+    grew = True
+    while grew:
+        grew = False
+        for label, owner, name, (body_names, body_attrs) in units:
+            if label in live_labels:
+                continue
+            if (owner in live_defs and name in attrs
+                    or owner is None and (name in names or name in attrs)):
+                live_labels.add(label)
+                if owner is None:
+                    live_defs.add(name)
+                names |= body_names
+                attrs |= body_attrs
+                grew = True
+    callerless = sorted(label for label, *_ in units if label not in live_labels)
     assert not callerless, f"no caller in src/ or perfbench: {callerless}"
 
 
