@@ -1,6 +1,6 @@
 """Informationally complete (s,t)-POVMs and k-nonstretchability detection."""
 
-from .basis import OperatorBasis, gell_mann_basis, group_basis
+from .basis import gell_mann_basis, group_basis
 from .criteria import CriterionReport, evaluate, evaluate_sweep, threshold_p
 from .infoquant import VARIANCE, MonotoneFunctionSpec
 from .linalg import DensityMatrix, hermitian_eig
@@ -12,7 +12,7 @@ from .states import IsotropicFamily, antisymmetric_state, ghz_qudit, \
 
 __all__ = [
     "BoundInputs", "CriterionReport", "DensityMatrix", "IsotropicFamily",
-    "MonotoneFunctionSpec", "OperatorBasis", "SymmetricMeasurement", "VARIANCE",
+    "MonotoneFunctionSpec", "SymmetricMeasurement", "VARIANCE",
     "antisymmetric_state", "bound_i", "bound_v", "build_stpovm",
     "enumerate_kstretch", "evaluate", "evaluate_sweep", "gell_mann_basis",
     "ghz_qudit", "group_basis", "hermitian_eig", "materialize_dense",

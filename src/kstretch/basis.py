@@ -9,7 +9,7 @@ constructed measurements deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -18,44 +18,30 @@ class InformationalCompletenessError(ValueError):
     """Raised when s(t-1) != d^2 - 1."""
 
 
-@dataclass(frozen=True)
-class OperatorBasis:
-    """Orthonormal traceless Hermitian operators on a d-dimensional space,
-    in the order above; `group_basis` lays them out as the (u, v) grid."""
-
-    d: int
-    ops: tuple[np.ndarray, ...]
-
-
-def gell_mann_basis(d: int) -> OperatorBasis:
-    """The d^2 - 1 generalized Gell-Mann operators at unit HS norm."""
+@cache
+def gell_mann_basis(d: int) -> np.ndarray:
+    """The d^2 - 1 generalized Gell-Mann operators at unit HS norm, in the
+    order above, as one read-only (d^2 - 1, d, d) array built once per d."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    ops: list[np.ndarray] = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1 / np.sqrt(2)
-            ops.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j / np.sqrt(2)
-            m[k, j] = 1j / np.sqrt(2)
-            ops.append(m)
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    ops = np.zeros((d * d - 1, d, d), dtype=complex)
+    for i, (j, k) in enumerate(pairs):
+        ops[i, j, k] = ops[i, k, j] = 1 / np.sqrt(2)
+        ops[len(pairs) + i, j, k] = -1j / np.sqrt(2)
+        ops[len(pairs) + i, k, j] = 1j / np.sqrt(2)
     for l in range(1, d):
         diag = np.zeros(d)
         diag[:l] = 1.0
         diag[l] = -l
-        ops.append(np.diag(diag / np.sqrt(l * (l + 1))).astype(complex))
-    return OperatorBasis(d, tuple(ops))
+        ops[2 * len(pairs) + l - 1] = np.diag(diag / np.sqrt(l * (l + 1)))
+    ops.flags.writeable = False
+    return ops
 
 
-def group_basis(basis: OperatorBasis, s: int, t: int) -> np.ndarray:
-    """The traceless operators as the s x (t-1) grid of C^(uv), an
-    (s, t-1, d, d) array: C^(uv) is ops[(u-1)(t-1) + (v-1)], a row-major
-    reshape of the flat order."""
-    d = basis.d
+def check_family(d: int, s: int, t: int) -> None:
+    """Raise InformationalCompletenessError, naming the admissible (s,t),
+    unless s >= 1, t >= 2 and s(t-1) equals d^2 - 1."""
     if s < 1 or t < 2:
         raise InformationalCompletenessError(f"invalid family (s={s}, t={t})")
     if s * (t - 1) != d * d - 1:
@@ -65,4 +51,12 @@ def group_basis(basis: OperatorBasis, s: int, t: int) -> np.ndarray:
             f"s(t-1) = {s * (t - 1)} != d^2 - 1 = {d * d - 1} for d={d}; "
             f"admissible (s,t) for d={d}: {admissible}"
         )
-    return np.array(basis.ops).reshape(s, t - 1, d, d)
+
+
+def group_basis(basis: np.ndarray, s: int, t: int) -> np.ndarray:
+    """The traceless operators as the s x (t-1) grid of C^(uv), an
+    (s, t-1, d, d) array: C^(uv) is basis[(u-1)(t-1) + (v-1)], a row-major
+    reshape of the flat order."""
+    d = basis.shape[-1]
+    check_family(d, s, t)
+    return basis.reshape(s, t - 1, d, d)

@@ -282,15 +282,16 @@ def cmd_criteria(ctx, family, state_file, d, n, k, s, t, r, p, p_range, f_choice
 @click.pass_context
 def cmd_threshold(ctx, family, state_file, d, n, k, s, t, r, f_choice, out_format, output):
     """Solve for the smallest detectable noise weight per (N, criterion)."""
+    if family == "antisym" and len(set(n)) > 1:
+        raise click.BadParameter("the antisymmetric family has d = N, and no (s,t) "
+                                 "fits two dimensions: give one N", param_hint="'--n'")
     rows = []
-    measurements = {}  # one per local dimension: antisym has d = N
     try:
         quantities = parse_f(f_choice)
-        for n_val in sorted(n):
-            fam = _family(family, d, n_val, state_file)
-            if fam.d not in measurements:
-                measurements[fam.d] = _build_measurement(fam.d, s, t, r)
-            m = measurements[fam.d]
+        families = [_family(family, d, n_val, state_file) for n_val in sorted(n)]
+        # one d for all: ghz takes --d, a file its own, antisym its single N
+        m = _build_measurement(families[0].d, s, t, r)
+        for n_val, fam in zip(sorted(n), families):
             k_val = k if k is not None else 3 - n_val
             for quantity in quantities:
                 label = VARIANCE if quantity == VARIANCE else quantity.label

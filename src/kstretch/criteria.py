@@ -161,27 +161,29 @@ def threshold_p(family: IsotropicFamily, m: SymmetricMeasurement,
         lhs = criterion_lhs_isotropic(moments, beta, p, d, n, quantity)
         return _violates(quantity, lhs, i_bd, v_bd)
 
-    return _first(violated, 0.0, 1.0) if violated(1.0) else None
+    return _first(violated) if violated(1.0) else None
 
 
-def _first(holds: Callable[[float], bool], lo: float, hi: float) -> float:
-    """The least float in (lo, hi] at which `holds` is true, for a `holds`
-    false at lo and true from one switch point up to hi: bisect in floats
+def _first(holds: Callable[[float], bool]) -> float:
+    """The least float in (0, 1] at which `holds` is true, for a `holds`
+    false at 0 and true from one switch point up to 1: bisect in floats
     until the midpoint is an endpoint."""
+    lo, hi = 0.0, 1.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (lo, mid) if holds(mid) else (mid, hi)
     return hi
 
 
 def random_kstretchable_density(rng: np.random.Generator, d: int, n: int,
-                                k: int, max_mixture: int = 3) -> DensityMatrix:
-    """Random k-stretchable state: a convex mixture of pure states, each a
-    product of Haar-random block states over a random admissible partition.
-    The tool does not call it: the benchmark's `dense-mixed` workload imports it."""
+                                k: int) -> DensityMatrix:
+    """Random k-stretchable state: a convex mixture of one to three pure
+    states, each a product of Haar-random block states over a random
+    admissible partition.  The tool does not call it: the benchmark's
+    `dense-mixed` workload imports it."""
     admissible = enumerate_kstretch(n, k)
     if not admissible:
         raise ValueError(f"no {k}-stretchable partition of {n} exists")
-    n_pure = int(rng.integers(1, max_mixture + 1))
+    n_pure = int(rng.integers(1, 4))
     weights = rng.dirichlet(np.ones(n_pure))
     vectors = []
     for _ in weights:

@@ -15,7 +15,6 @@ oracles."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -124,14 +123,6 @@ def collective_moments_from_rdms(rho1: DensityMatrix, rho2: DensityMatrix,
     return CollectiveMoments(s1, float(s2))
 
 
-@cache
-def _generators(d: int) -> np.ndarray:
-    """The d^2 - 1 Gell-Mann generators as one read-only (d^2 - 1, d, d) array."""
-    gens = np.array(gell_mann_basis(d).ops)
-    gens.flags.writeable = False
-    return gens
-
-
 def _apply_generators(gens: np.ndarray, n: int, v: np.ndarray) -> np.ndarray:
     """(g_a^(1) + ... + g_a^(n)) v for stacked generators gens (g, d, d) on the
     columns of v (D, cols): a (g, D, cols) array, one matmul per site."""
@@ -168,7 +159,7 @@ def generator_terms(rho: DensityMatrix, m, skew: bool) -> tuple:
         raise ValueError(f"site dimensions {rho.site_dims} incompatible with d={m.d}")
     if rho.dim > DENSE_DIM_LIMIT:
         raise DenseSizeError(f"dense dimension {rho.dim} exceeds limit {DENSE_DIM_LIMIT}")
-    v, gens = rho.split[-1], _generators(m.d)
+    v, gens = rho.split[-1], gell_mann_basis(m.d)
     r = v.shape[1]
     size = max(1, rho.dim // max(r, 1))
     norms, rows = np.zeros(r), np.zeros((len(gens), r))

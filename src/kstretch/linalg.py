@@ -20,14 +20,15 @@ PSD_SLACK = 1e-9
 EIG_ZERO_TOL = 1e-12
 
 
-def check_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate that `a` is a square Hermitian matrix; return it as complex."""
+def check_hermitian(a: np.ndarray) -> np.ndarray:
+    """Validate that `a` is a square Hermitian matrix, or a stack of them over
+    its leading axes; return it as complex."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf: a NaN deviation fails the gate
-        dev = np.max(np.abs(a - a.conj().T))
-    if not dev <= tol:
+        dev = np.max(np.abs(a - a.conj().swapaxes(-1, -2)))
+    if not dev <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return a
 

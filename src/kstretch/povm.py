@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import InformationalCompletenessError, OperatorBasis, group_basis
-from .linalg import HERMITICITY_TOL
+from .basis import check_family, group_basis
+from .linalg import check_hermitian
 
 SYMMETRY_TOL = 1e-10
 EFFECT_PSD_TOL = 1e-10
@@ -73,6 +73,9 @@ class SymmetricMeasurement:
 
     def __post_init__(self):
         effects = np.array(self.effects, dtype=complex)  # a private, frozen copy
+        if effects.shape != (self.s, self.t, self.d, self.d):
+            raise ConstructionError(f"effects are not an {self.s} x {self.t} array "
+                                    f"of {self.d} x {self.d} matrices")
         effects.flags.writeable = False
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "residuals", _certify_or_raise(self))
@@ -99,7 +102,7 @@ class SymmetricMeasurement:
 
     def to_json_dict(self) -> dict:
         # distinct by bit pattern, so -0.0 and 0.0 keep their own entries
-        keys, index = np.unique(_stacked(self).view("V16").ravel(), return_inverse=True)
+        keys, index = np.unique(self.effects.view("V16").ravel(), return_inverse=True)
         return {**self._scalars(), "values": keys.view(float).reshape(-1, 2).tolist(),
                 "effects": index.reshape(self.s, self.t, -1).tolist()}
 
@@ -163,29 +166,20 @@ def json_floats(pairs, key: str) -> np.ndarray:
         raise ValueError(f"{key!r} hold an integer beyond float range: {exc}") from None
 
 
-def _stacked(m: SymmetricMeasurement) -> np.ndarray:
-    """The effects as one (s*t, d, d) complex array, ordered (u, v) row-major."""
-    d, s, t = m.d, m.s, m.t
-    effects = np.asarray(m.effects, dtype=complex)
-    if effects.shape != (s, t, d, d):
-        raise ConstructionError(f"effects are not an {s} x {t} array of {d} x {d} matrices")
-    return effects.reshape(s * t, d, d)
-
-
 def chi_of_r(d: int, t: int, r: float) -> float:
     """Purity parameter chi as a function of the construction parameter r."""
     return d / t**2 + r**2 * (t - 1) * (np.sqrt(t) + 1) ** 2
 
 
-def build_stpovm(basis: OperatorBasis, s: int, t: int,
+def build_stpovm(basis: np.ndarray, s: int, t: int,
                  r: float | str = "max") -> SymmetricMeasurement:
-    """Build the (s,t)-POVM A^(uv) = 1/t + r B^(uv) from a basis and its
-    (s, t-1) grouping.
+    """Build the (s,t)-POVM A^(uv) = 1/t + r B^(uv) from a (d^2 - 1, d, d)
+    basis and its (s, t-1) grouping.
 
     r="max" selects the chi-maximizing endpoint
     max{1/(t lambda_max), 1/(t |lambda_min|)} with positive sign.
     """
-    d = basis.d
+    d = basis.shape[-1]
     b_ops = build_b_operators(group_basis(basis, s, t))
     r_neg, r_pos = r_range(b_ops)
     r_val = max(abs(r_neg), r_pos) if r == "max" else float(r)
@@ -200,7 +194,7 @@ def build_stpovm(basis: OperatorBasis, s: int, t: int,
 def certification_residuals(m: SymmetricMeasurement) -> dict[str, float]:
     """Residuals of every identity the measurement must satisfy."""
     d, s, t, chi = m.d, m.s, m.t, m.chi
-    effects = _stacked(m)
+    effects = np.asarray(m.effects, dtype=complex).reshape(s * t, d, d)
     res: dict[str, float] = {}
     res["min_effect_eigenvalue"] = float(np.linalg.eigvalsh(effects)[:, 0].min())
     eye = np.eye(d)
@@ -232,18 +226,11 @@ def certification_residuals(m: SymmetricMeasurement) -> dict[str, float]:
 
 def _certify_or_raise(m: SymmetricMeasurement) -> dict[str, float]:
     """Raise unless every identity holds; return the residuals."""
-    d, s, t = m.d, m.s, m.t
-    if s * (t - 1) != d * d - 1:
-        raise InformationalCompletenessError(
-            f"s(t-1) = {s * (t - 1)} != d^2 - 1 = {d * d - 1}"
-        )
-    effects = _stacked(m)
-    if not (np.isfinite(m.r) and np.isfinite(m.chi) and np.isfinite(effects).all()):
+    check_family(m.d, m.s, m.t)
+    if not (np.isfinite(m.r) and np.isfinite(m.chi) and np.isfinite(m.effects).all()):
         raise ConstructionError(f"r={m.r}, chi={m.chi} and every effect entry must be finite")
-    dev = np.max(np.abs(effects - effects.conj().transpose(0, 2, 1)))
+    check_hermitian(m.effects)
     # each gate is `not (within tolerance)`, so a NaN residual fails it
-    if not (dev <= HERMITICITY_TOL):
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     lo = m.d / m.t**2
     hi = min(m.d**2 / m.t**2, m.d / m.t)
     if not (lo < m.chi <= hi + SYMMETRY_TOL):

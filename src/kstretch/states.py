@@ -20,8 +20,9 @@ from typing import Optional
 
 import numpy as np
 
+from .basis import gell_mann_basis
 from .infoquant import DENSE_DIM_LIMIT, CollectiveMoments, DenseSizeError, \
-    _apply_generators, _generators
+    _apply_generators
 from .linalg import DensityMatrix
 from .povm import json_floats
 
@@ -82,7 +83,7 @@ def custom_state(site_dims: list[int], amplitudes: np.ndarray) -> IsotropicFamil
     if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"state vector norm is {norm}, expected 1")
     vec.flags.writeable = False  # a private copy: it stays the state the moments describe
-    g_vec = _apply_generators(_generators(d), n, vec[:, None])[..., 0]
+    g_vec = _apply_generators(gell_mann_basis(d), n, vec[:, None])[..., 0]
     s1 = np.sum((g_vec @ vec.conj()).real ** 2)
     moments = CollectiveMoments(float(s1), float(np.vdot(g_vec, g_vec).real))
     return IsotropicFamily("custom", d, n, moments, amplitudes=vec)

@@ -243,7 +243,7 @@ def full_basis_lhs_dense(rho, m, quantity) -> float:
     evals, evecs = rho.spectrum
     lam, c, flat = _spectral_split(evals)
     v_rest = np.ascontiguousarray(evecs[:, ~flat])
-    generators = gell_mann_basis(m.d).ops
+    generators = gell_mann_basis(m.d)
     total = 0.0
     if quantity == VARIANCE:
         shift = evals[~flat] - c
@@ -261,12 +261,11 @@ def full_basis_lhs_dense(rho, m, quantity) -> float:
     return m.beta * total
 
 
-def dense_kstretchable_entries(rng, d: int, n: int, k: int,
-                               max_mixture: int = 3) -> np.ndarray:
+def dense_kstretchable_entries(rng, d: int, n: int, k: int) -> np.ndarray:
     """The entries of `random_kstretchable_density` for the same generator
     state, summed as w |v><v| matrices: the same draws in the same order."""
     admissible = enumerate_kstretch(n, k)
-    n_pure = int(rng.integers(1, max_mixture + 1))
+    n_pure = int(rng.integers(1, 4))
     weights = rng.dirichlet(np.ones(n_pure))
     rho = np.zeros((d**n, d**n), dtype=complex)
     for w in weights:

@@ -269,6 +269,17 @@ def test_threshold_antisym_names_admissible_families(runner):
     assert "admissible (s,t) for d=4: (15,2), (5,4), (3,6), (1,16)" in result.output
 
 
+def test_threshold_antisym_rejects_several_n(runner, monkeypatch):
+    """The antisymmetric family has d = N, and no (s,t) is complete for two
+    dimensions: a sweep over two N is a usage error, before any build."""
+    monkeypatch.setattr(cli, "_build_measurement", lambda *a: pytest.fail("measurement built"))
+    result = runner.invoke(main, ["threshold", "--family", "antisym", "--n", "3", "--n", "4",
+                                  "--s", "1", "--t", "9", "--f", "variance"])
+    assert result.exit_code == 2
+    assert "Invalid value for '--n'" in result.output
+    assert "no (s,t) fits two dimensions" in result.output
+
+
 def test_threshold_builds_one_measurement_per_dimension(runner, monkeypatch):
     built = _count_calls(monkeypatch, povm.build_stpovm)
     result = runner.invoke(main, ["threshold", "--family", "ghz", "--n", "10",

@@ -91,7 +91,7 @@ def test_collective_operator_and_limit(rng):
 
 def generator_moments(vec: np.ndarray, d: int, n: int) -> tuple[float, float]:
     """(sum_a <G_a>^2, sum_a <G_a^2>) from the dense collective generators."""
-    bigs = [collective_operator(g, n) for g in gell_mann_basis(d).ops]
+    bigs = [collective_operator(g, n) for g in gell_mann_basis(d)]
     return (sum(np.vdot(vec, big @ vec).real ** 2 for big in bigs),
             sum(np.vdot(big @ vec, big @ vec).real for big in bigs))
 

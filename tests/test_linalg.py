@@ -20,6 +20,20 @@ def test_check_hermitian_accepts_and_rejects():
         check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         check_hermitian(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        check_hermitian(np.zeros(4))
+
+
+def test_check_hermitian_takes_a_stack(rng):
+    """A stack passes when every slice is Hermitian and fails on one that
+    is not; its last two axes must be square."""
+    stack = np.array([[random_hermitian(rng, 3) for _ in range(4)] for _ in range(2)])
+    assert check_hermitian(stack).shape == (2, 4, 3, 3)
+    stack[1, 2, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_hermitian(stack)
+    with pytest.raises(ValueError, match="square"):
+        check_hermitian(np.zeros((4, 2, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])

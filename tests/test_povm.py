@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import all_families, random_density, random_hermitian, random_pure
-from kstretch.basis import gell_mann_basis, group_basis
+from kstretch.basis import InformationalCompletenessError, gell_mann_basis, group_basis
 from kstretch.povm import (
     ConstructionError,
     PositivityError,
@@ -243,6 +243,27 @@ def test_effects_read_only(m14):
     m = SymmetricMeasurement(m14.d, m14.s, m14.t, m14.r, m14.chi, mine)
     mine[0, 0, 0, 0] = 5
     assert np.array_equal(m.effects, m14.effects)
+
+
+def test_loaded_incomplete_family_names_admissible_families():
+    """A file whose (s,t) breaks s(t-1) = d^2 - 1 fails with the message of
+    the build path, which lists the admissible families."""
+    doc = build_stpovm(gell_mann_basis(3), 1, 9).to_json_dict()
+    doc.update(s=1, t=4, effects=[doc["effects"][0][:4]])
+    with pytest.raises(InformationalCompletenessError) as loaded:
+        SymmetricMeasurement.from_json_dict(doc)
+    with pytest.raises(InformationalCompletenessError) as built:
+        build_stpovm(gell_mann_basis(3), 1, 4)
+    assert str(loaded.value) == str(built.value)
+    assert "admissible (s,t) for d=3: (8,2), (4,3), (2,5), (1,9)" in str(loaded.value)
+
+
+@pytest.mark.parametrize("shape", ["flat", "short", "wrong-d"])
+def test_wrongly_shaped_effects_rejected(m14, shape):
+    effects = {"flat": m14.effects.reshape(4, 2, 2), "short": m14.effects[:, :3],
+               "wrong-d": np.zeros((1, 4, 3, 3))}[shape]
+    with pytest.raises(ConstructionError, match="not an 1 x 4 array of 2 x 2 matrices"):
+        SymmetricMeasurement(m14.d, m14.s, m14.t, m14.r, m14.chi, effects)
 
 
 def _uncertified(m, effects):

@@ -160,7 +160,7 @@ def test_effect_moments_fast_vs_dense(rng):
     custom = custom_state([3, 3, 3], random_pure(rng, 27))
     for fam in (ghz_qudit(3, 3), antisymmetric_state(3), custom):
         vec = state_vector(fam)
-        bigs = [collective_operator(g, fam.n) for g in gell_mann_basis(fam.d).ops]
+        bigs = [collective_operator(g, fam.n) for g in gell_mann_basis(fam.d)]
         mom = effect_moments(fam)
         assert mom.s1 == pytest.approx(
             sum(np.vdot(vec, big @ vec).real ** 2 for big in bigs), abs=1e-10)
