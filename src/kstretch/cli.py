@@ -105,7 +105,7 @@ def _options(*decorators):
     return lambda f: functools.reduce(lambda g, option: option(g), reversed(decorators), f)
 
 
-CONFIG = click.option("--config", type=click.Path(exists=True), is_eager=True,
+CONFIG = click.option("--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
                       expose_value=False, callback=_load_config)
 R = click.option("--r", default="max", show_default=True)
 D = click.option("--d", type=int, default=3, show_default=True)
@@ -115,12 +115,12 @@ MEASUREMENT = _options(click.option("--s", type=int, default=1, show_default=Tru
                        click.option("--t", type=int, default=9, show_default=True), R)
 FAMILY = _options(click.option("--family", type=click.Choice(["ghz", "antisym", "file"]),
                                default="ghz", show_default=True),
-                  click.option("--state-file", type=click.Path(exists=True), default=None), D)
+                  click.option("--state-file", type=click.Path(exists=True, dir_okay=False)), D)
 OUTPUT = _options(click.option("--f", "f_choice", default="all", show_default=True,
                                help="qfi | wyd[:omega] | variance | all"),
                   click.option("--format", "out_format", type=click.Choice(["csv", "json"]),
                                default="csv", show_default=True),
-                  click.option("--output", type=click.Path(), default=None))
+                  click.option("--output", type=click.Path(dir_okay=False), default=None))
 
 
 def _config_echo(params: dict) -> dict:
@@ -149,8 +149,11 @@ def _family(name: str, d: int, n: int, state_file: Optional[str]):
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a read-only file
+            _fail(exc)
     else:  # file= bypasses click's stream cache, which keeps every stdout alive
         click.echo(text, nl=False, file=sys.stdout)
 
@@ -170,7 +173,7 @@ def main():
 @click.option("--s", type=int, required=True)
 @click.option("--t", type=int, required=True)
 @R
-@click.option("--output", type=click.Path(), default=None,
+@click.option("--output", type=click.Path(dir_okay=False), default=None,
               help="Write the measurement as JSON to this path.")
 @CONFIG
 @click.pass_context

@@ -7,7 +7,8 @@ A^(uv) = 1/t + r B^(uv), held as one read-only (s, t, d, d) array.  All
 symmetry identities are verified at construction time; a measurement
 object that exists is certified, and keeps the residuals it was
 certified with.  A JSON file holds each distinct [re, im] entry once, in
-"values", and the effects as an (s, t, d^2) array of indices into it.
+"values", ordered by the bytes of its 16-byte pattern, and the effects as
+an (s, t, d^2) array of indices into it, so one measurement has one file.
 """
 
 from __future__ import annotations
@@ -101,9 +102,14 @@ class SymmetricMeasurement:
         return {"d": self.d, "s": self.s, "t": self.t, "r": self.r, "chi": self.chi}
 
     def to_json_dict(self) -> dict:
-        # distinct by bit pattern, so -0.0 and 0.0 keep their own entries
-        keys, index = np.unique(self.effects.view("V16").ravel(), return_inverse=True)
-        return {**self._scalars(), "values": keys.view(float).reshape(-1, 2).tolist(),
+        # distinct bit patterns (0.0 and -0.0 apart) in byte order: two big-endian words
+        pairs = self.effects.view(float).reshape(-1, 2)
+        hi, lo = pairs.view(">u8").astype(np.uint64).T
+        order = np.lexsort((lo, hi))
+        first = np.concatenate(([True], (np.diff(hi[order]) | np.diff(lo[order])) != 0))
+        index = np.empty_like(order)
+        index[order] = np.cumsum(first) - 1
+        return {**self._scalars(), "values": pairs[order[first]].tolist(),
                 "effects": index.reshape(self.s, self.t, -1).tolist()}
 
     def to_json(self, **extra) -> str:
@@ -139,10 +145,14 @@ class SymmetricMeasurement:
         if kinds:
             raise ValueError("'effects' must hold JSON integers, not "
                              f"{', '.join(sorted(k.__name__ for k in kinds))} entries")
-        if not 0 <= min(index, default=0) <= max(index, default=0) < len(values):
+        try:
+            index = np.array(index, dtype=np.intp)
+        except OverflowError:  # 2**63 or more: no table is that long
+            index = None
+        if index is None or not 0 <= index.min(initial=0) <= index.max(initial=0) < len(values):
             raise ValueError(f"'effects' must hold indices in [0, {len(values)})")
         return cls(d, s, t, float(doc["r"]), float(doc["chi"]),
-                   values[np.array(index, dtype=int)].reshape(s, t, d, d))
+                   values[index].reshape(s, t, d, d))
 
     @classmethod
     def from_json(cls, text: str) -> "SymmetricMeasurement":
@@ -197,29 +207,26 @@ def certification_residuals(m: SymmetricMeasurement) -> dict[str, float]:
     effects = np.asarray(m.effects, dtype=complex).reshape(s * t, d, d)
     res: dict[str, float] = {}
     res["min_effect_eigenvalue"] = float(np.linalg.eigvalsh(effects)[:, 0].min())
-    eye = np.eye(d)
-    res["completeness"] = float(np.max(np.abs(
-        effects.reshape(s, t, d, d).sum(axis=1) - eye)))
+    res["completeness"] = float(np.max(np.abs(effects.reshape(s, t, d, d).sum(axis=1) - np.eye(d))))
     res["trace"] = float(np.max(np.abs(
         np.trace(effects, axis1=1, axis2=2).real - d / t)))
     # Tr(A B) = <vec A, vec B> for Hermitian effects, ordered (u, v) row-major
     flat = effects.reshape(s * t, d * d)
     gram = (flat.conj() @ flat.T).real
     res["purity"] = float(np.max(np.abs(np.diag(gram) - chi)))
-    group = np.repeat(np.arange(s), t)
-    same_u = group[:, None] == group[None, :]
-    off_diag = ~np.eye(s * t, dtype=bool)
-    within = (d - t * chi) / (t * (t - 1))
-    res["cross_outcome"] = float(np.max(np.abs(gram - within),
-                                        where=same_u & off_diag, initial=0.0))
-    res["cross_measurement"] = float(np.max(np.abs(gram - d / t**2),
-                                            where=~same_u, initial=0.0))
-    # flat.T @ flat holds sum_uv A_ik A_jl: the design sum indexed (ik),(jl),
-    # where 1 (x) 1 is vec(1) vec(1)^T and SWAP is the same index swap
-    alpha = s / t - m.beta / d
-    swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
-    res["conical_design"] = float(np.max(np.abs(
-        flat.T @ flat - alpha * np.outer(eye, eye) - m.beta * swap)))
+    # the same-u blocks gram[u, v, u, w], off the diagonal v = w
+    same = np.abs(np.einsum("uiuj->uij", gram.reshape(s, t, s, t)) - (d - t * chi) / (t * (t - 1)))
+    np.einsum("uii->ui", same)[...] = 0.0
+    res["cross_outcome"] = float(np.max(same))
+    across = np.abs(gram - d / t**2).reshape(s, t, s, t)
+    np.einsum("uiuj->uij", across)[...] = 0.0
+    res["cross_measurement"] = float(np.max(across))
+    # flat.T @ flat holds sum_uv A_ik A_jl at [i, k, j, l]: 1 (x) 1 is
+    # delta_ik delta_jl and SWAP is delta_il delta_kj
+    design = (flat.T @ flat).reshape(d, d, d, d)
+    np.einsum("iijj->ij", design)[...] -= s / t - m.beta / d
+    np.einsum("ikki->ik", design)[...] -= m.beta
+    res["conical_design"] = float(np.max(np.abs(design)))
     res["chi_consistency"] = float(abs(chi - chi_of_r(d, t, m.r)))
     return res
 

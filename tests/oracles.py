@@ -4,11 +4,14 @@ against enumeration; the single-site effect-square identities and the
 pure-state block bounds; the paper's closed-form antisymmetric variance
 threshold; the skew information and variance of one observable, and the
 partial trace; the dense LHS in the full eigenbasis; random k-stretchable
-states summed as D x D matrices; and the 1- and 2-site reduced states of
-the built-in families.  The program computes the bounds from (beta, s/t)
-with the exact M, the dense LHS from the non-flat eigenvectors only, random
-states as factors and the families' generator moments in closed form;
-these independent forms check it, and none of them runs in the tool."""
+states summed as D x D matrices; the 1- and 2-site reduced states of the
+built-in families; and a measurement file's value table by `np.unique`,
+and its certification residuals from dense masks.  The program computes
+the bounds from (beta, s/t) with the exact M, the dense LHS from the
+non-flat eigenvectors only, random states as factors, the families'
+generator moments in closed form, the value table by a lexsort and the
+residuals from views; these independent forms check it, and none of them
+runs in the tool."""
 
 from typing import Sequence
 
@@ -23,7 +26,7 @@ from kstretch.infoquant import (
 )
 from kstretch.linalg import DensityMatrix, _spectral_split, check_hermitian
 from kstretch.partitions import enumerate_kstretch, max_sum_squares
-from kstretch.povm import SymmetricMeasurement
+from kstretch.povm import SymmetricMeasurement, chi_of_r
 
 
 def paper_bound_i(m, n: int, k: int) -> float:
@@ -107,6 +110,48 @@ def verify_square_sum(m) -> float:
     total = sum(a @ a for a in m.iter_effects())
     target = square_sum_scalar(m.d, m.s, m.t, m.r) * np.eye(m.d)
     return float(np.max(np.abs(total - target)))
+
+
+def unique_entries(m) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of m's effects as (n, 2) [re, im] rows, sorted
+    by `np.unique` over their 16-byte patterns, and each entry's index into
+    them: -0.0 and 0.0 apart, as the value table of a measurement file."""
+    keys, index = np.unique(m.effects.view("V16").ravel(), return_inverse=True)
+    return keys.view(float).reshape(-1, 2), index.ravel()
+
+
+def mask_certification_residuals(m) -> dict[str, float]:
+    """`certification_residuals` with the (u, v) groups and the design's
+    1 (x) 1 and SWAP spelled out as dense (st)^2 and d^2 x d^2 arrays."""
+    d, s, t, chi = m.d, m.s, m.t, m.chi
+    effects = np.asarray(m.effects, dtype=complex).reshape(s * t, d, d)
+    res: dict[str, float] = {}
+    res["min_effect_eigenvalue"] = float(np.linalg.eigvalsh(effects)[:, 0].min())
+    eye = np.eye(d)
+    res["completeness"] = float(np.max(np.abs(
+        effects.reshape(s, t, d, d).sum(axis=1) - eye)))
+    res["trace"] = float(np.max(np.abs(
+        np.trace(effects, axis1=1, axis2=2).real - d / t)))
+    # Tr(A B) = <vec A, vec B> for Hermitian effects, ordered (u, v) row-major
+    flat = effects.reshape(s * t, d * d)
+    gram = (flat.conj() @ flat.T).real
+    res["purity"] = float(np.max(np.abs(np.diag(gram) - chi)))
+    group = np.repeat(np.arange(s), t)
+    same_u = group[:, None] == group[None, :]
+    off_diag = ~np.eye(s * t, dtype=bool)
+    within = (d - t * chi) / (t * (t - 1))
+    res["cross_outcome"] = float(np.max(np.abs(gram - within),
+                                        where=same_u & off_diag, initial=0.0))
+    res["cross_measurement"] = float(np.max(np.abs(gram - d / t**2),
+                                            where=~same_u, initial=0.0))
+    # flat.T @ flat holds sum_uv A_ik A_jl: the design sum indexed (ik),(jl),
+    # where 1 (x) 1 is vec(1) vec(1)^T and SWAP is the same index swap
+    alpha = s / t - m.beta / d
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    res["conical_design"] = float(np.max(np.abs(
+        flat.T @ flat - alpha * np.outer(eye, eye) - m.beta * swap)))
+    res["chi_consistency"] = float(abs(chi - chi_of_r(d, t, m.r)))
+    return res
 
 
 def probability_square_sum(m, rho: np.ndarray) -> float:

@@ -479,6 +479,33 @@ def test_output_file(runner, tmp_path):
     assert path.read_text().split("\n")[1] == CSV_HEADER
 
 
+@pytest.mark.parametrize("command", [["povm", "--d", "2", "--s", "1", "--t", "4"],
+                                     ["criteria", "--n", "2", "--k", "0", "--p", "1"],
+                                     ["threshold", "--n", "2"]],
+                         ids=["povm", "criteria", "threshold"])
+def test_bad_output_path_fails_cleanly(runner, tmp_path, command):
+    """An --output that is a directory is a usage error (exit 2), and one in a
+    missing directory an error line (exit 1), never a traceback."""
+    result = runner.invoke(main, command + ["--output", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '--output': File {str(tmp_path)!r} is a directory" in result.output
+    missing = tmp_path / "missing" / "out.json"
+    result = runner.invoke(main, command + ["--output", str(missing)])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    assert isinstance(result.exception, SystemExit)  # no traceback
+
+
+@pytest.mark.parametrize("option", ["--config", "--state-file"])
+@pytest.mark.parametrize("command", ["criteria", "threshold"])
+def test_directory_as_input_file_is_usage_error(runner, tmp_path, command, option):
+    """A directory given as --config or --state-file is a usage error (exit 2)."""
+    args = [command, "--family", "file", "--n", "2", option, str(tmp_path)]
+    result = runner.invoke(main, args + (["--k", "0", "--p", "1"] if command == "criteria" else []))
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}': File {str(tmp_path)!r} is a directory" in result.output
+
+
 @pytest.mark.parametrize("command,override,flags", [
     (["threshold"], {"n": [5]}, ["--n", "5"]),
     (["threshold", "--f", "qfi"], {"n": 7, "k": -1}, ["--n", "7", "--k", "-1"]),

@@ -18,10 +18,12 @@ from kstretch.povm import (
     r_range,
 )
 from oracles import (
+    mask_certification_residuals,
     probability_square_sum,
     probability_square_sum_formula,
     probability_square_sum_pure,
     square_sum_scalar,
+    unique_entries,
     verify_square_sum,
 )
 
@@ -144,9 +146,9 @@ def test_to_json_matches_dumps_of_dict(catalogue):
         catalogue[0].to_json(chi=0.5)
 
 
-def test_to_json_keeps_signed_zeros_and_ulp_neighbours_apart(m14):
-    """Entries are interned by bit pattern: 0.0 and -0.0, and two values one
-    ulp apart, each keep their own entry in "values" and their own text."""
+def _signed_zeros_and_ulp_neighbours(m14):
+    """m14 with 0.0 and -0.0, and two values x, y one ulp apart, in its
+    effects, uncertified; and x, y."""
     effects = m14.effects.copy()
     x = float(effects[0, 1, 0, 0].real)
     y = float(np.nextafter(x, 1.0))
@@ -154,12 +156,29 @@ def test_to_json_keeps_signed_zeros_and_ulp_neighbours_apart(m14):
     effects[0, 0, 1, 0] = complex(-0.0, 0.0)
     effects[0, 2, 0, 0] = complex(x, y)
     effects[0, 3, 1, 1] = complex(y, x)
-    m = _uncertified(m14, effects)
+    return _uncertified(m14, effects), x, y
+
+
+def test_to_json_keeps_signed_zeros_and_ulp_neighbours_apart(m14):
+    """Entries are interned by bit pattern: 0.0 and -0.0, and two values one
+    ulp apart, each keep their own entry in "values" and their own text."""
+    m, x, y = _signed_zeros_and_ulp_neighbours(m14)
     text = m.to_json()
     assert text == json.dumps(m.to_json_dict())
     values = {tuple(map(float.hex, pair)) for pair in json.loads(text)["values"]}
     for pair in ([0.0, -0.0], [-0.0, 0.0], [x, y], [y, x]):
         assert json.dumps(pair) in text and tuple(map(float.hex, pair)) in values
+
+
+def test_value_table_matches_unique_oracle(catalogue, m14):
+    """The value table holds the bytes, in the order, and the effects the
+    indices that `np.unique` over the 16-byte entries gives, on every family
+    and with signed zeros and one-ulp neighbours among the entries."""
+    for m in [*catalogue, _signed_zeros_and_ulp_neighbours(m14)[0]]:
+        doc = m.to_json_dict()
+        keys, index = unique_entries(m)
+        assert np.array(doc["values"], dtype=float).tobytes() == keys.tobytes(), (m.d, m.s, m.t)
+        assert np.array_equal(np.ravel(doc["effects"]), index), (m.d, m.s, m.t)
 
 
 def test_residuals_stored_and_never_loaded(m14):
@@ -277,8 +296,9 @@ def _uncertified(m, effects):
 
 def test_batched_residuals_match_per_effect_reference(catalogue, rng):
     """The stacked eigenvalue and reduction residuals equal a loop over the
-    effects, on every family and on a copy with a different perturbation of
-    each effect; the stacked r range equals a loop over the B operators."""
+    effects, and every residual equals the dense-mask oracle exactly, on every
+    family and on a copy with a different perturbation of each effect; the
+    stacked r range equals a loop over the B operators."""
     for m in catalogue:
         d, s, t = m.d, m.s, m.t
         noise = [[random_hermitian(rng, d) * 1e-3 * rng.random() for _ in row]
@@ -287,6 +307,7 @@ def test_batched_residuals_match_per_effect_reference(catalogue, rng):
                           for row, noise_row in zip(m.effects, noise))
         for case in (m, _uncertified(m, perturbed)):
             res = certification_residuals(case)
+            assert res == mask_certification_residuals(case), (d, s, t)
             effects = list(case.iter_effects())
             reference = {
                 "min_effect_eigenvalue": min(np.linalg.eigvalsh(a)[0] for a in effects),
@@ -387,12 +408,14 @@ def test_bool_or_huge_effect_entry_rejected(m14, value, match):
 
 @pytest.mark.parametrize("index, match", [
     (-1, r"indices in \[0, 14\)"), ("len", r"indices in \[0, 14\)"),
+    (2**63, r"indices in \[0, 14\)"), (2**64, r"indices in \[0, 14\)"),
     (10**400, r"indices in \[0, 14\)"), (True, "JSON integers, not bool entries"),
     (1.0, "JSON integers, not float entries"), ("1", "JSON integers, not str entries")],
-    ids=["negative", "len-values", "huge-int", "bool", "float", "string"])
+    ids=["negative", "len-values", "2**63", "2**64", "huge-int", "bool", "float", "string"])
 def test_bad_index_rejected(m14, index, match):
     """An index must be a JSON integer in [0, len(values)): numpy would wrap a
-    negative one round to the end of the table, and read a bool as 0 or 1."""
+    negative one round to the end of the table, read a bool as 0 or 1, and
+    2**63 (beside other indices) as a float, 2**64 as an object."""
     doc = json.loads(m14.to_json())
     doc["effects"][0][1][2] = len(doc["values"]) if index == "len" else index
     assert len(doc["values"]) == 14
