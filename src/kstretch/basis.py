@@ -41,9 +41,9 @@ def gell_mann_basis(d: int) -> np.ndarray:
 
 def check_family(d: int, s: int, t: int) -> None:
     """Raise InformationalCompletenessError, naming the admissible (s,t),
-    unless s >= 1, t >= 2 and s(t-1) equals d^2 - 1."""
-    if s < 1 or t < 2:
-        raise InformationalCompletenessError(f"invalid family (s={s}, t={t})")
+    unless d >= 2, s >= 1, t >= 2 and s(t-1) equals d^2 - 1."""
+    if d < 2 or s < 1 or t < 2:
+        raise InformationalCompletenessError(f"invalid family (d={d}, s={s}, t={t})")
     if s * (t - 1) != d * d - 1:
         admissible = ", ".join(f"({(d * d - 1) // (k - 1)},{k})"
                                for k in range(2, d * d + 1) if (d * d - 1) % (k - 1) == 0)

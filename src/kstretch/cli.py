@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import gell_mann_basis
 from .criteria import evaluate_sweep, threshold_p
-from .infoquant import VARIANCE, MonotoneFunctionSpec
+from .infoquant import QFI, VARIANCE, WYD_HALF, MonotoneFunctionSpec
 from .partitions import (
     BoundInputs,
     bound_i,
@@ -49,21 +49,16 @@ def fmt(x) -> str:
 
 
 def parse_f(value: str) -> list:
-    """Parse --f into a list of quantities (specs and/or VARIANCE)."""
-    if value == "all":
-        return [MonotoneFunctionSpec("qfi"), MonotoneFunctionSpec("wyd", 0.5),
-                VARIANCE]
-    if value == "qfi":
-        return [MonotoneFunctionSpec("qfi")]
-    if value == "wyd":
-        return [MonotoneFunctionSpec("wyd", 0.5)]
+    """Parse --f into a new list of quantities (specs and/or VARIANCE)."""
+    named = {"all": [QFI, WYD_HALF, VARIANCE], "qfi": [QFI], "wyd": [WYD_HALF],
+             VARIANCE: [VARIANCE]}
+    if value in named:
+        return named[value]
     if value.startswith("wyd:"):
         try:  # an omega that is not a float in (0, 1) is a usage error
             return [MonotoneFunctionSpec("wyd", float(value[4:]))]
         except ValueError:
             pass
-    if value == VARIANCE:
-        return [VARIANCE]
     raise click.BadParameter(f"unknown quantity {value!r}")
 
 

@@ -9,7 +9,6 @@ Satisfying both inequalities is always "inconclusive".
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -131,13 +130,11 @@ def evaluate_sweep(family: IsotropicFamily, m: SymmetricMeasurement, k: int,
                    cases: Sequence[tuple[Optional[MonotoneFunctionSpec], float]]
                    ) -> list[CriterionReport]:
     """Both inequalities on p |psi><psi| + (1-p)/D for each (f_spec, p) in
-    `cases`, in order; generator moments and bounds are computed once, and
-    the variance LHS, which does not depend on f, once per distinct p."""
+    `cases`, in order; generator moments and bounds are computed once."""
     n, d, beta = family.n, family.d, m.beta
     moments = _moments(family, m)
-    # 0.0 and -0.0 share a cache entry; at p = +-0 each LHS is the same float
-    return _reports(m, n, k, cases, functools.cache(
-        lambda quantity, p: criterion_lhs_isotropic(moments, beta, p, d, n, quantity)))
+    return _reports(m, n, k, cases,
+                    lambda quantity, p: criterion_lhs_isotropic(moments, beta, p, d, n, quantity))
 
 
 def threshold_p(family: IsotropicFamily, m: SymmetricMeasurement,

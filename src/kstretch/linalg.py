@@ -7,6 +7,7 @@ numpy arrays; density matrices carry their per-site dimensions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -27,7 +28,7 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf: a NaN deviation fails the gate
-        dev = np.max(np.abs(a - a.conj().swapaxes(-1, -2)))
+        dev = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), initial=0.0)
     if not dev <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return a
@@ -36,8 +37,9 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class DensityMatrix:
     """Unit-trace PSD Hermitian operator on a tensor-product space, given by
-    its entries or (`from_factor`) as noise 1 + Y Y^dag.  The entries are
-    read-only, so the cached `spectrum` and `split` cannot go stale."""
+    its entries or (`from_factor`) as noise 1 + Y Y^dag.  A state given by
+    entries is checked PSD by the eigendecomposition it keeps as `spectrum`.
+    The entries are read-only, so `spectrum` and `split` cannot go stale."""
 
     site_dims: tuple[int, ...]
     matrix: Optional[np.ndarray] = field(default=None, repr=False)
@@ -59,7 +61,7 @@ class DensityMatrix:
         object.__setattr__(self, "site_dims", dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"invalid site dimensions {dims}")
-        dim = int(np.prod(dims))
+        dim = math.prod(dims)
         if self.factor is None:
             entries = check_hermitian(self.matrix)
             if entries.shape != (dim, dim):
@@ -76,15 +78,14 @@ class DensityMatrix:
             raise ValueError(f"trace is {tr}, expected 1")
         if self.factor is not None:
             return
-        try:  # rho >= -PSD_SLACK iff rho + PSD_SLACK has a Cholesky factor
-            np.linalg.cholesky(entries + PSD_SLACK * np.eye(dim))
-        except np.linalg.LinAlgError:
-            min_eig = np.linalg.eigvalsh(entries).min()
-            if min_eig < -PSD_SLACK:
-                raise ValueError(f"not positive semidefinite (min eigenvalue {min_eig:.3e})")
         entries = entries.view()
         entries.flags.writeable = False
+        spectrum = hermitian_eig(entries)
+        if spectrum.eigenvalues[0] < -PSD_SLACK:
+            raise ValueError("not positive semidefinite "
+                             f"(min eigenvalue {spectrum.eigenvalues[0]:.3e})")
         object.__setattr__(self, "matrix", entries)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def entries(self) -> np.ndarray:
@@ -98,17 +99,19 @@ class DensityMatrix:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        """Eigendecomposition of the entries, computed on first use only."""
+        """Eigendecomposition of the entries: from the PSD check of a state
+        given by entries, on first use for a factor state."""
         return hermitian_eig(self.entries)
 
     @cached_property
     def split(self) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
         """(lam, c, flat) of `_spectral_split` and the non-flat eigenvectors.  A
-        factor state with 0 < 2r < D takes them from Y = QR and R R^dag = U mu
-        U^dag: eigenvalues noise + mu and noise (D - r times), eigenvectors QU.
-        Otherwise, as with 2r >= D the noise level need not be the widest flat
-        window, they come from `spectrum`."""
-        if self.factor is None or not 0 < 2 * self.factor.shape[1] < self.dim:
+        factor state with 2r < D, rank 0 included, takes them from Y = QR and
+        R R^dag = U mu U^dag: eigenvalues noise + mu and noise (D - r times),
+        eigenvectors QU, so it never builds its D x D entries.  Otherwise, as
+        with 2r >= D the noise level need not be the widest flat window, they
+        come from `spectrum`."""
+        if self.factor is None or 2 * self.factor.shape[1] >= self.dim:
             evals, evecs = self.spectrum
         else:
             q, r = np.linalg.qr(self.factor)
@@ -121,7 +124,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.site_dims))
+        return math.prod(self.site_dims)
 
     @property
     def n_sites(self) -> int:

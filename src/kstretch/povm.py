@@ -140,6 +140,7 @@ class SymmetricMeasurement:
         cells = np.array(doc["effects"], dtype=object)
         if cells.shape != (s, t, d * d):
             raise ValueError(f"effects have shape {cells.shape}, not {(s, t, d * d)}")
+        check_family(d, s, t)  # after the shape check: its message lists O(d^2) families
         index = cells.ravel().tolist()
         kinds = set(map(type, index)) - {int}  # exact types: a bool is an int subclass
         if kinds:

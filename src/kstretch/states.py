@@ -73,10 +73,8 @@ def custom_state(site_dims: list[int], amplitudes: np.ndarray) -> IsotropicFamil
         raise ValueError(f"site dimensions must be uniform, got {dims}")
     d, n = dims[0], len(dims)
     vec = np.array(amplitudes, dtype=complex).ravel()
-    if vec.size != int(np.prod(dims)):
-        raise ValueError(
-            f"{vec.size} amplitudes for total dimension {int(np.prod(dims))}"
-        )
+    if vec.size != math.prod(dims):
+        raise ValueError(f"{vec.size} amplitudes for total dimension {math.prod(dims)}")
     if vec.size > DENSE_DIM_LIMIT:
         raise DenseSizeError("custom states are limited to dense-feasible sizes")
     norm = np.linalg.norm(vec)

@@ -13,7 +13,7 @@ from kstretch import cli, povm
 from kstretch.basis import gell_mann_basis
 from kstretch.cli import CSV_HEADER, fmt, main
 from kstretch.criteria import threshold_p
-from kstretch.infoquant import QFI, VARIANCE, WYD_HALF
+from kstretch.infoquant import QFI, VARIANCE, WYD_HALF, MonotoneFunctionSpec
 from kstretch.povm import SymmetricMeasurement, build_stpovm
 from kstretch.states import ghz_qudit
 
@@ -556,6 +556,18 @@ def test_f_accepts_only_documented_values(runner, monkeypatch, command, value):
     result = runner.invoke(main, args + (["--k", "0", "--p", "1"] if command == "criteria" else []))
     assert result.exit_code == 2, result.output
     assert f"Invalid value: unknown quantity {value!r}" in result.output
+
+
+def test_parse_f_returns_new_lists_of_quantities():
+    """Each --f value gives its quantities in order, in a list of its own."""
+    expected = {"all": [MonotoneFunctionSpec("qfi"), MonotoneFunctionSpec("wyd", 0.5), VARIANCE],
+                "qfi": [MonotoneFunctionSpec("qfi")], "wyd": [MonotoneFunctionSpec("wyd", 0.5)],
+                "variance": [VARIANCE], "wyd:0.3": [MonotoneFunctionSpec("wyd", 0.3)]}
+    for value, quantities in expected.items():
+        got = cli.parse_f(value)
+        assert got == quantities and got is not cli.parse_f(value), value
+        got.clear()
+        assert cli.parse_f(value) == quantities, value
 
 
 # every param of every command, in order, as declared before the shared

@@ -158,10 +158,10 @@ def test_evaluate_sweep_computes_moments_once(m19, monkeypatch):
     assert [rep.to_json_dict() for rep in reports] == expected
 
 
-def test_evaluate_sweep_variance_once_per_p(m19, monkeypatch):
-    """A sweep over P values and F skew quantities makes |P| (1 + F) LHS
-    calls, the variance LHS once per p, and every row has the bits that
-    evaluate gives, at p = -0.0 too."""
+def test_evaluate_sweep_one_lhs_call_per_cell(m19, monkeypatch):
+    """A sweep over P values and F skew quantities makes |P| (1 + 2F) direct
+    LHS calls, one per skew and variance cell of its |P| (1 + F) rows, and
+    every row has the bits that evaluate gives, at p = -0.0 too."""
     fam = ghz_qudit(3, 4)
     p_values, skews = (0.0, 0.3, 0.45, 1.0), (QFI, WYD_HALF, MonotoneFunctionSpec("wyd", 0.3))
     cases = [(f_spec, p) for p in p_values for f_spec in (*skews, None)]
@@ -170,7 +170,7 @@ def test_evaluate_sweep_variance_once_per_p(m19, monkeypatch):
     monkeypatch.setattr(criteria, "criterion_lhs_isotropic",
                         lambda *args: calls.append(1) or real(*args))
     reports = evaluate_sweep(fam, m19, -1, cases)
-    assert len(calls) == len(p_values) * (1 + len(skews))
+    assert len(calls) == len(p_values) * (1 + 2 * len(skews)) == 28
     cases += [(QFI, -0.0), (None, -0.0)]
     reports = evaluate_sweep(fam, m19, -1, cases)
     assert [repr(rep) for rep in reports] == [

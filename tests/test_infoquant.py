@@ -309,13 +309,15 @@ def test_factor_split_from_spectrum_when_2r_reaches_d(m14):
 
 def test_factor_of_rank_zero_is_maximally_mixed(m14):
     """A factor with no vectors is noise 1 = 1/D: its split has no non-flat
-    eigenvector, and every LHS equals that of the entries 1/D."""
+    eigenvector, every LHS equals that of the entries 1/D, and it builds and
+    decomposes no D x D matrix."""
     rho = DensityMatrix.from_factor((2,) * 3, np.zeros((8, 0)), [], 1 / 8)
     ref = DensityMatrix((2,) * 3, np.eye(8) / 8)
     assert rho.split[3].shape == (8, 0)
     for quantity in LHS_QUANTITIES:
         want = criterion_lhs_dense(ref, m14, quantity)
         assert criterion_lhs_dense(rho, m14, quantity) == pytest.approx(want, rel=1e-12, abs=0)
+    assert rho.matrix is None and "spectrum" not in rho.__dict__
 
 
 def test_dense_lhs_never_reads_flat_eigenvectors(m19):

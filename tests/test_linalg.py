@@ -62,21 +62,26 @@ def test_density_matrix_validation():
     assert rho.dim == 6 and rho.n_sites == 2
 
 
-def test_psd_validation_boundary(rng):
-    """The Cholesky test keeps the rule: min eigenvalue >= -1e-9 passes."""
+def test_psd_validation_boundary(rng, monkeypatch):
+    """The one eigendecomposition keeps the rule, min eigenvalue >= -1e-9
+    passes, with no Cholesky or eigvalsh, and an accepted state keeps it as
+    its spectrum."""
     u = np.linalg.qr(random_hermitian(rng, 4) + 1j * np.eye(4))[0]
+    vecs = [random_pure(rng, 729) for _ in range(3)]
+    monkeypatch.setattr(np.linalg, "cholesky", None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
     for min_eig, ok in ((-0.5e-9, True), (-2e-9, False)):
         entries = u @ np.diag([min_eig, 0.2, 0.3, 0.5 - min_eig]) @ u.conj().T
         if ok:
-            DensityMatrix((2, 2), entries)
+            assert "spectrum" in DensityMatrix((2, 2), entries).__dict__
         else:
             with pytest.raises(ValueError, match=r"positive semidefinite "
                                r"\(min eigenvalue -2\.000e-09\)"):
                 DensityMatrix((2, 2), entries)
     # a rank-3 state at D=729: 726 zero eigenvalues, accepted
-    vecs = [random_pure(rng, 729) for _ in range(3)]
-    rank3 = sum(w * np.outer(v, v.conj()) for w, v in zip((0.5, 0.3, 0.2), vecs))
-    assert DensityMatrix((3,) * 6, rank3).dim == 729
+    rank3 = DensityMatrix((3,) * 6, sum(w * np.outer(v, v.conj())
+                                        for w, v in zip((0.5, 0.3, 0.2), vecs)))
+    assert rank3.dim == 729 and "spectrum" in rank3.__dict__
 
 
 def test_entries_read_only_and_spectrum_cached(rng):
@@ -127,6 +132,20 @@ E2 = np.eye(8)[:, :2]
 def test_factor_rejects_bad_input(vectors, weights, noise, match):
     with pytest.raises(ValueError, match=match):
         DensityMatrix.from_factor((2, 2, 2), vectors, weights, noise)
+
+
+def test_total_dimension_is_exact():
+    """D is an exact integer: 64 qubit sites make 2^64, not a wrapped 0 that
+    an empty factor or 0 x 0 entries would match."""
+    with pytest.raises(ValueError, match=r"factor shape \(0, 1\) does not match site dims"):
+        DensityMatrix.from_factor((2,) * 64, np.zeros((0, 1)), [1.0])
+    with pytest.raises(ValueError, match=r"entries shape \(0, 0\) does not match site dims"):
+        DensityMatrix((2,) * 64, np.zeros((0, 0)))
+
+
+def test_hermitian_eig_of_empty_matrix():
+    evals, evecs = hermitian_eig(np.zeros((0, 0)))
+    assert evals.shape == (0,) and evecs.shape == (0, 0)
 
 
 def test_hermitian_eig_ascending(rng):

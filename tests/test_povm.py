@@ -277,6 +277,25 @@ def test_loaded_incomplete_family_names_admissible_families():
     assert "admissible (s,t) for d=3: (8,2), (4,3), (2,5), (1,9)" in str(loaded.value)
 
 
+@pytest.mark.parametrize("d,s,t,size", [(-2, 1, 4, 4), (0, 1, 2, 0), (1, 1, 2, 1)])
+def test_loaded_dimension_below_two_rejected(m14, d, s, t, size):
+    """A file with d < 2 and effects of the (s, t, d^2) shape fails the
+    family check, before any reshape."""
+    doc = {**m14.to_json_dict(), "d": d, "s": s, "t": t, "effects": [[[0] * size] * t] * s}
+    with pytest.raises(InformationalCompletenessError,
+                       match=rf"^invalid family \(d={d}, s={s}, t={t}\)$"):
+        SymmetricMeasurement.from_json_dict(doc)
+
+
+def test_loaded_huge_dimension_fails_on_shape(m14):
+    """The shape check comes before the family check, whose message lists
+    the admissible families over d^2 - 1 divisors: a small file claiming
+    d = 10^6 fails at once on its shape."""
+    doc = {**m14.to_json_dict(), "d": 10**6}
+    with pytest.raises(ValueError, match=r"effects have shape \(1, 4, 4\), not \(1, 4, 10+\)"):
+        SymmetricMeasurement.from_json_dict(doc)
+
+
 @pytest.mark.parametrize("shape", ["flat", "short", "wrong-d"])
 def test_wrongly_shaped_effects_rejected(m14, shape):
     effects = {"flat": m14.effects.reshape(4, 2, 2), "short": m14.effects[:, :3],

@@ -152,6 +152,14 @@ def test_custom_state_validation(rng):
         custom_state([2], np.array([np.nan, 1.0]))
 
 
+def test_state_file_total_dimension_is_exact(tmp_path):
+    """41 sites of d = 3 make D = 3^41, which overflows an int64 product."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"site_dims": [3] * 41, "amplitudes": [[1.0, 0.0]]}))
+    with pytest.raises(ValueError, match="1 amplitudes for total dimension 36472996377170786403$"):
+        load_state_file(path)
+
+
 def test_effect_moments_fast_vs_dense(rng):
     """Closed-form and site-local generator moments agree with explicit
     expectation values of the dense collective generators."""

@@ -100,11 +100,17 @@ def _benchmark_names() -> tuple[set, set]:
 
 
 def _units(module: str, tree: ast.Module):
-    """(label, class or None, name, body reads) for each top-level def and
-    each non-dunder method or property of a top-level class; a class's own
-    reads are its decorators, bases, class-level statements and dunders."""
+    """(label, class or None, name, body reads) for each top-level def, each
+    name a module-level assignment binds, and each non-dunder method or
+    property of a top-level class; a class's own reads are its decorators,
+    bases, class-level statements and dunders."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in ast.walk(ast.Tuple(elts=targets)):
+                if isinstance(target, ast.Name):
+                    yield f"{module}.{target.id}", None, target.id, _reads(node)
+        elif isinstance(node, ast.FunctionDef):
             yield f"{module}.{node.name}", None, node.name, _reads(node)
         elif isinstance(node, ast.ClassDef):
             own = []
@@ -119,12 +125,13 @@ def _units(module: str, tree: ast.Module):
 
 
 def test_every_package_definition_has_a_caller():
-    """Each top-level def and class in src/kstretch is a click command, is
-    bound by the benchmark, or is read by module-level code or a live def;
-    each non-dunder method or property of a live class is read as an
-    attribute by live code or by perfbench/workloads.py, and only a live
-    method's reads count.  Re-exports from __init__ do not count; oracles
-    with no caller belong in tests/oracles.py."""
+    """Each top-level def and class in src/kstretch, and each name bound by
+    a module-level assignment, is a click command, is bound by the
+    benchmark, or is read by other module-level code or a live unit; each
+    non-dunder method or property of a live class is read as an attribute
+    by live code or by perfbench/workloads.py, and only a live unit's reads
+    count.  Re-exports from __init__ do not count; oracles with no caller
+    belong in tests/oracles.py."""
     names, attrs = _benchmark_names()
     units = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -133,6 +140,8 @@ def test_every_package_definition_has_a_caller():
         tree = ast.parse(path.read_text())
         units += _units(path.stem, tree)
         for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 more_names, more_attrs = _reads(node)
                 names |= more_names
