@@ -95,6 +95,13 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: Optional[str]
                                  else _as_arg(name, value))
 
 
+def _check_r(ctx: click.Context, param: click.Parameter, r: str) -> str:
+    """--r is "max" or a float, kept as its text for the echoed config."""
+    if r != "max":
+        click.FLOAT(r, param, ctx)  # a BadParameter naming --r
+    return r
+
+
 def _options(*decorators):
     """The option decorators as one, declaring the options in the order given."""
     return lambda f: functools.reduce(lambda g, option: option(g), reversed(decorators), f)
@@ -102,7 +109,7 @@ def _options(*decorators):
 
 CONFIG = click.option("--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
                       expose_value=False, callback=_load_config)
-R = click.option("--r", default="max", show_default=True)
+R = click.option("--r", default="max", show_default=True, callback=_check_r)
 D = click.option("--d", type=int, default=3, show_default=True)
 N_AND_K = _options(click.option("--n", "--N", "n", type=int, required=True),
                    click.option("--k", type=int, required=True))

@@ -181,18 +181,17 @@ def criterion_lhs_dense(rho: DensityMatrix, m, quantity, terms: tuple | None = N
     (lam_k - c) |v_k><v_k| only the r non-flat v_k are read, through their
     `generator_terms`; passing these in lets several quantities share one
     pass.  The flat part of each norm is n_k - sum_j B_jk, so the skew sum is
-    sum W_RR o B + 2 sum_k w(lam_k, flat level) (n_k - sum_j B_jk); the
-    variance uses Tr rho G^j = c Tr G^j + sum_R (lam_k - c) <v_k|G^j|v_k>,
-    Tr G = 0, Tr G^2 = n D / d."""
+    sum W_RR o B + 2 sum_k w(lam_k, b) (n_k - sum_j B_jk), b the flat level of
+    the weights; the variance uses Tr rho G^j = c Tr G^j + sum_R (lam_k - c)
+    <v_k|G^j|v_k>, Tr G = 0, Tr G^2 = n D / d."""
     skew = quantity != VARIANCE
     norms, rows, block = terms or generator_terms(rho, m, skew)
-    lam, c, flat, _ = rho.split
-    lam_r = lam[~flat]
+    lam_r, c, b, _ = rho.split
     if not skew:
         shift = lam_r - c
         second = len(rows) * c * rho.dim * rho.n_sites / m.d + shift @ norms
         return m.beta * float(second - np.sum((rows @ shift) ** 2))
-    w_flat = _weight_matrix(lam_r, np.mean(lam[flat], keepdims=True), quantity)[:, 0]
+    w_flat = _weight_matrix(lam_r, np.array([b]), quantity)[:, 0]
     return m.beta * float(np.sum(_weight_matrix(lam_r, lam_r, quantity) * block)
                           + 2 * w_flat @ (norms - block.sum(axis=0)))
 

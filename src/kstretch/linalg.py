@@ -36,10 +36,9 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Unit-trace PSD Hermitian operator on a tensor-product space, given by
-    its entries or (`from_factor`) as noise 1 + Y Y^dag.  A state given by
-    entries is checked PSD by the eigendecomposition it keeps as `spectrum`.
-    The entries are read-only, so `spectrum` and `split` cannot go stale."""
+    """Unit-trace PSD Hermitian operator on a tensor-product space: entries, checked
+    Hermitian and PSD by the one eigendecomposition kept as `spectrum`, or (`from_factor`)
+    noise 1 + Y Y^dag, both read-only, so `spectrum` and `split` cannot go stale."""
 
     site_dims: tuple[int, ...]
     matrix: Optional[np.ndarray] = field(default=None, repr=False)
@@ -63,7 +62,8 @@ class DensityMatrix:
             raise ValueError(f"invalid site dimensions {dims}")
         dim = math.prod(dims)
         if self.factor is None:
-            entries = check_hermitian(self.matrix)
+            entries = np.asarray(self.matrix, dtype=complex)
+            spectrum = hermitian_eig(entries)  # checks square and Hermitian
             if entries.shape != (dim, dim):
                 raise ValueError(f"entries shape {entries.shape} does not match site dims {dims}")
             tr = np.trace(entries).real
@@ -80,7 +80,6 @@ class DensityMatrix:
             return
         entries = entries.view()
         entries.flags.writeable = False
-        spectrum = hermitian_eig(entries)
         if spectrum.eigenvalues[0] < -PSD_SLACK:
             raise ValueError("not positive semidefinite "
                              f"(min eigenvalue {spectrum.eigenvalues[0]:.3e})")
@@ -99,28 +98,25 @@ class DensityMatrix:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        """Eigendecomposition of the entries: from the PSD check of a state
-        given by entries, on first use for a factor state."""
+        """Eigendecomposition of the entries; `split` never reads it for a factor state."""
         return hermitian_eig(self.entries)
 
     @cached_property
-    def split(self) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-        """(lam, c, flat) of `_spectral_split` and the non-flat eigenvectors.  A
-        factor state with 2r < D, rank 0 included, takes them from Y = QR and
-        R R^dag = U mu U^dag: eigenvalues noise + mu and noise (D - r times),
-        eigenvectors QU, so it never builds its D x D entries.  Otherwise, as
-        with 2r >= D the noise level need not be the widest flat window, they
-        come from `spectrum`."""
-        if self.factor is None or 2 * self.factor.shape[1] >= self.dim:
+    def split(self) -> tuple[np.ndarray, float, float, np.ndarray]:
+        """(lam_R, c, b, V_R) of rho = c 1 + sum_R (lam_k - c) |v_k><v_k|: non-flat
+        eigenvalues as the weights see them, the flat level of the variance and
+        of the weights, the non-flat eigenvectors.  Entries slice `_spectral_split`
+        of `spectrum`; a factor at every rank takes c = b = noise, lam_R = noise + mu
+        and V_R = QU from Y = QR, R R^dag = U mu U^dag (< EIG_ZERO_TOL read as 0)."""
+        if self.factor is None:
             evals, evecs = self.spectrum
-        else:
-            q, r = np.linalg.qr(self.factor)
-            mu, u = hermitian_eig(r @ r.conj().T)
-            evecs = q @ u
-            evals = np.concatenate([np.full(self.dim - len(mu), self.noise),
-                                    self.noise + np.clip(mu, 0.0, None)])
-        lam, c, flat = _spectral_split(evals)
-        return lam, c, flat, np.ascontiguousarray(evecs[:, ~flat[len(flat) - evecs.shape[1]:]])
+            lam, c, flat = _spectral_split(evals)
+            return lam[~flat], c, float(np.mean(lam[flat])), np.ascontiguousarray(evecs[:, ~flat])
+        q, r = np.linalg.qr(self.factor)
+        mu, u = hermitian_eig(r @ r.conj().T)
+        lam = np.append(self.noise + np.clip(mu, 0.0, None), self.noise)
+        lam[lam < EIG_ZERO_TOL] = 0.0
+        return lam[:-1], self.noise, float(lam[-1]), q @ u
 
     @property
     def dim(self) -> int:

@@ -13,6 +13,7 @@ small N, and its audit against enumeration live with the test oracles.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -89,6 +90,8 @@ def max_sum_squares(n: int, k: int) -> int:
     q = (n-L)//(b-1) blocks of size b, one block of size 1 + remainder,
     and ones elsewhere.  M is the maximum of that over L: O(n) steps.
     """
+    if not (isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)):
+        raise ValueError(f"N = {n!r} and k = {k!r} must be integers")
     if k < 1 - n:
         warnings.warn(f"no partition of {n} is {k}-stretchable", stacklevel=2)
         raise ValueError(f"no {k}-stretchable partition of {n} exists")

@@ -42,6 +42,38 @@ def test_povm_bad_r(runner):
     assert result.exit_code == 1
 
 
+R_COMMANDS = {
+    "povm": ["povm", "--d", "3", "--s", "1", "--t", "9"],
+    "criteria": ["criteria", "--n", "3", "--k", "0", "--p", "1"],
+    "threshold": ["threshold", "--n", "5"],
+    "partitions": ["partitions", "--n", "4", "--k", "0"],
+}
+
+
+@pytest.mark.parametrize("value", ["abc", "1e", ""])
+@pytest.mark.parametrize("command", list(R_COMMANDS))
+def test_malformed_r_is_usage_error(runner, command, value):
+    """--r is "max" or a float: other text is a usage error naming --r."""
+    result = runner.invoke(main, R_COMMANDS[command] + ["--r", value])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '--r': {value!r} is not a valid float" in result.output
+
+
+@pytest.mark.parametrize("command", list(R_COMMANDS))
+def test_r_out_of_range_reaches_the_measurement(runner, command):
+    """A number outside the admissible range fails the measurement's own
+    check: an error (a note from partitions), not a usage error."""
+    result = runner.invoke(main, R_COMMANDS[command] + ["--r", "5"])
+    assert result.exit_code == (0 if command == "partitions" else 1), result.output
+    assert "r=5.0 outside admissible range" in result.output
+
+
+def test_r_echoed_as_given(runner):
+    result = runner.invoke(main, R_COMMANDS["threshold"] + ["--r", "1.0e-2"])
+    assert result.exit_code == 0, result.output
+    assert '"r": "1.0e-2"' in result.output.split("\n")[0]
+
+
 def test_povm_output_file(runner, tmp_path):
     path = tmp_path / "m.json"
     result = runner.invoke(main, ["povm", "--d", "2", "--s", "3", "--t", "2",

@@ -515,3 +515,19 @@ def test_random_kstretchable_matches_dense_builder(seed):
         dense = dense_kstretchable_entries(np.random.default_rng(seed), d, n, k)
         assert rho.matrix is None
         assert np.max(np.abs(rho.entries - dense)) <= 1e-15, (d, n, k)
+
+
+def test_n_and_k_must_be_integers(m19):
+    """M(N, k) is defined on integers: a float N or k is a ValueError in
+    max_sum_squares, and so in the bounds, evaluate and threshold_p rather
+    than a verdict from M(6, 0.5) = 15.5; numpy integers still count."""
+    for n, k in ((6, 0.5), (6.0, 0), (6, np.float64(0.0))):
+        with pytest.raises(ValueError, match="must be integers"):
+            max_sum_squares(n, k)
+    family = ghz_qudit(3, 6)
+    for call in (lambda: bound_v(BoundInputs.from_measurement(m19, 6, 0.5)),
+                 lambda: evaluate(family, m19, QFI, 0.5, 1.0),
+                 lambda: threshold_p(family, m19, QFI, 0.5)):
+        with pytest.raises(ValueError, match="must be integers"):
+            call()
+    assert max_sum_squares(np.int64(6), np.int32(0)) == max_sum_squares(6, 0) == 14

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy import kron
 
 from conftest import random_density, random_hermitian, random_pure
+from kstretch import linalg
 from kstretch.basis import gell_mann_basis
 from kstretch.criteria import random_kstretchable_density
 from kstretch.infoquant import (
@@ -273,7 +274,7 @@ def test_factor_lhs_matches_entries(m14, m19, d, n, rank, noise, weights, seed):
     entries' eigendecomposition gives the flat level moves the WYD weights
     b^omega by more than 1e-12 (8e-10 at omega = 0.2, level 1.25e-10)."""
     rng = np.random.default_rng(seed)
-    sites = n + (d == 2)  # D >= 8 > 2r: the factor route
+    sites = n + (d == 2)  # D >= 8
     dim = d**sites
     x = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     w = rng.dirichlet(np.ones(rank))
@@ -291,20 +292,42 @@ def test_factor_lhs_matches_entries(m14, m19, d, n, rank, noise, weights, seed):
     assert "spectrum" not in rho.__dict__
 
 
-def test_factor_split_from_spectrum_when_2r_reaches_d(m14):
-    """With 2r >= D the noise level need not be the widest flat window:
-    three orthonormal vectors of weight 0.3 at D = 4 make the upper level
-    flat and the noise level the one non-flat eigenvalue, so the split
-    comes from the full decomposition."""
+def test_factor_split_from_factor_when_2r_reaches_d(m14):
+    """With 2r >= D the factor still gives the split, though the noise level
+    is not the widest flat window: three orthonormal vectors of weight 0.3
+    at D = 4 are three non-flat vectors over the flat levels c = b = 0.025
+    exactly, and no LHS builds or decomposes the D x D entries."""
     x = np.linalg.qr(np.random.default_rng(4).normal(size=(4, 3)))[0]
     rho = DensityMatrix.from_factor((2, 2), x, np.full(3, 0.3), 0.1 / 4)
-    _, c, flat, vectors = rho.split
-    assert np.sum(~flat) == 1 and c == pytest.approx(0.325) and vectors.shape == (4, 1)
-    assert "spectrum" in rho.__dict__
-    ref = DensityMatrix((2, 2), rho.entries)
+    _, c, b, vectors = rho.split
+    assert vectors.shape == (4, 3) and c == b == 0.025
+    ref = DensityMatrix((2, 2), 0.025 * np.eye(4) + 0.3 * x @ x.conj().T)
     for quantity in LHS_QUANTITIES:
         want = criterion_lhs_dense(ref, m14, quantity)
         assert criterion_lhs_dense(rho, m14, quantity) == pytest.approx(want, rel=1e-12)
+        assert "spectrum" not in rho.__dict__ and rho.matrix is None, quantity
+
+
+def test_factor_split_decomposes_no_d_by_d_matrix(m19, monkeypatch):
+    """A rank-150 factor state at D = 243 (2r >= D) splits from its factor:
+    no eigendecomposition of size 243, and every LHS equals that of the
+    same state given by entries, its noise level kept >= 1e-9."""
+    rng = np.random.default_rng(25)
+    dim, rank, noise = 243, 150, 0.05
+    x = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    x /= np.linalg.norm(x, axis=0)
+    w = (1 - noise) * rng.dirichlet(np.ones(rank))
+    ref = DensityMatrix((3,) * 5, noise / dim * np.eye(dim) + (x * w) @ x.conj().T)
+    assert noise / dim >= 1e-9
+    sizes = []
+    eig = linalg.hermitian_eig
+    monkeypatch.setattr(linalg, "hermitian_eig", lambda h: sizes.append(len(h)) or eig(h))
+    rho = DensityMatrix.from_factor((3,) * 5, x, w, noise / dim)
+    for quantity in LHS_QUANTITIES:
+        got, want = criterion_lhs_dense(rho, m19, quantity), criterion_lhs_dense(ref, m19, quantity)
+        assert abs(got - want) <= 1e-12 * abs(want), (quantity, got, want)
+    assert sizes and dim not in sizes, sizes
+    assert rho.matrix is None and "spectrum" not in rho.__dict__
 
 
 def test_factor_of_rank_zero_is_maximally_mixed(m14):

@@ -5,8 +5,10 @@ import pytest
 from numpy import kron
 
 from conftest import random_density, random_hermitian, random_pure
+from kstretch import linalg
 from kstretch.linalg import (
     DensityMatrix,
+    _spectral_split,
     check_hermitian,
     embed_site,
     hermitian_eig,
@@ -93,6 +95,33 @@ def test_entries_read_only_and_spectrum_cached(rng):
     assert rho.spectrum is rho.spectrum
     evals, evecs = rho.spectrum
     assert np.max(np.abs(evecs @ np.diag(evals) @ evecs.conj().T - source)) < 1e-12
+
+
+def test_entries_checked_hermitian_once(rng, monkeypatch):
+    """A state given by entries is checked Hermitian once, by the
+    eigendecomposition that also checks it PSD."""
+    calls = []
+    check = linalg.check_hermitian
+    monkeypatch.setattr(linalg, "check_hermitian", lambda a: calls.append(a) or check(a))
+    DensityMatrix((2, 2), random_density(rng, 4))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("entries", [
+    np.eye(8) / 8,
+    np.diag([0.5, 0.5, 0, 0, 0, 0, 0, 0]),
+    random_density(np.random.default_rng(7), 8),
+])
+def test_entries_split_slices_spectral_split(entries):
+    """A state given by entries splits into the `_spectral_split` slices of
+    its spectrum: non-flat eigenvalues, the level c, the clipped flat mean
+    and the non-flat eigenvectors."""
+    rho = DensityMatrix((2,) * 3, entries)
+    evals, evecs = rho.spectrum
+    lam, c, flat = _spectral_split(evals)
+    lam_r, c_split, b, vectors = rho.split
+    assert np.array_equal(lam_r, lam[~flat]) and c_split == c
+    assert b == np.mean(lam[flat]) and np.array_equal(vectors, evecs[:, ~flat])
 
 
 def test_factor_entries_read_only_and_built_on_first_read(rng):

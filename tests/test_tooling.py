@@ -19,6 +19,7 @@ from oracles import paper_bound_i, paper_bound_v
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kstretch"
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def load_perfbench(name: str):
@@ -219,3 +220,22 @@ def test_tracer_counts_threshold_lhs_evaluations():
     assert exc.value.code == 0
     metrics = tracer.take().metrics()
     assert 0 < metrics["criteria.lhs_evals_per_threshold"] <= 70, metrics
+
+
+def test_failing_hypothesis_test_reports_a_failure(tmp_path):
+    """Under the repository's pytest settings, which make warnings errors, a
+    failing @given test is a plain failure with its falsifying example: the
+    DeprecationWarning hypothesis's report hook raises must not become an
+    INTERNALERROR that stops the run."""
+    (tmp_path / "test_throwaway.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(max_examples=5, database=None, deadline=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x > 0\n")
+    result = subprocess.run([sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "-q",
+                             "-p", "no:cacheprovider", "test_throwaway.py"],
+                            cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    output = result.stdout + result.stderr
+    assert result.returncode == 1 and "INTERNALERROR" not in output, output
+    assert "Falsifying example" in output, output
