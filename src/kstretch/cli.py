@@ -17,8 +17,8 @@ import click
 import numpy as np
 
 from .basis import gell_mann_basis
-from .criteria import evaluate_sweep, threshold_p
-from .infoquant import QFI, VARIANCE, WYD_HALF, MonotoneFunctionSpec
+from .criteria import sweep_rows, threshold_p, verdict_of
+from .infoquant import QFI, VARIANCE, WYD_HALF, MonotoneFunctionSpec, is_skew
 from .partitions import (
     BoundInputs,
     bound_i,
@@ -31,10 +31,7 @@ from .partitions import (
 from .povm import build_stpovm
 from .states import antisymmetric_state, ghz_qudit, load_state_file
 
-CSV_HEADER = ("N,k,d,s,t,r,f,p,lhs_skew,i_bound,violated_skew,"
-              "lhs_var,v_bound,violated_var")
-# report fields constant over one evaluate_sweep call: one family, measurement and k
-SWEEP_SHARED = frozenset({"N", "k", "d", "s", "t", "r", "i_bound", "v_bound"})
+CSV_HEADER = "N,k,d,s,t,r,f,p,lhs_skew,i_bound,violated_skew,lhs_var,v_bound,violated_var"
 
 
 def fmt(x) -> str:
@@ -218,35 +215,29 @@ def _p_values(p: tuple[float, ...], p_range: Optional[str]) -> list[float]:
     return values
 
 
-def _criteria_json(cfg: dict, reports: list) -> str:
-    """json.dumps({"config": cfg, "rows": [rep.to_json_dict() ...]}, indent=2) + "\\n"
-    for one sweep: its shared fields are encoded once into a row template, and
-    its numbers by one call to the C encoder, which indent=2 never uses."""
+def _criteria_json(cfg: dict, shared: dict, rows: list) -> str:
+    """json.dumps({"config": cfg, "rows": [rep.to_json_dict() ...]}, indent=2) + "\\n" for
+    the reports of these `sweep_rows`, with the shared fields encoded once into a row
+    template and the rows by one call to the C encoder, which indent=2 never uses."""
     head = json.dumps({"config": cfg, "rows": []}, indent=2)
     template = "    {\n" + ",\n".join(
-        f'      "{key}": ' + (json.dumps(value) if key in SWEEP_SHARED else "%s")
-        for key, value in reports[0].to_json_dict().items()) + "\n    }"
-    words = {word: json.dumps(word) for word in {True, False, None, *(
-        word for rep in reports for word in (rep.f_label, rep.verdict))}}
-    # a list of numbers and nulls only, so every "," separates two entries
-    nums = iter(json.dumps([x for rep in reports for x in (rep.p, rep.lhs_skew, rep.lhs_var)],
-                           separators=(",", ":"))[1:-1].split(","))
-    rows = ",\n".join(template % (words[rep.f_label], p, skew, words[rep.violated_skew], var,
-                                  words[rep.violated_var], words[rep.verdict])
-                      for rep, p, skew, var in zip(reports, nums, nums, nums))
-    return f"{head[:-4]}[\n{rows}\n  ]\n}}\n"
+        f'      "{key}": ' + (json.dumps(shared[key]) if key in shared else "%s")
+        for key in (*CSV_HEADER.split(","), "verdict")) + "\n    }"
+    verdicts = {(vs, vv): json.dumps(verdict_of(vs, vv))
+                for vs in (True, False, None) for vv in (True, False)}
+    # no label, number, bool or null holds a "," or "],[", so the splits find the cells
+    cells = json.dumps(rows, separators=(",", ":"))[2:-2].split("],[")
+    body = ",\n".join(template % (*cell.split(","), verdicts[row[3], row[5]])
+                      for cell, row in zip(cells, rows))
+    return f"{head[:-4]}[\n{body}\n  ]\n}}\n"
 
 
-def _criteria_csv(cfg: dict, reports: list) -> str:
-    """CSV for one sweep: each row fills a template holding its shared fields."""
-    shared = reports[0].to_json_dict()
-    template = ",".join(fmt(shared[key]) if key in SWEEP_SHARED else "%s"
+def _criteria_csv(cfg: dict, shared: dict, rows: list) -> str:
+    """CSV of these `sweep_rows`: each row fills a template holding the shared fields."""
+    template = ",".join(fmt(shared[key]) if key in shared else "%s"
                         for key in CSV_HEADER.split(","))
-    lines = [f"# config = {json.dumps(cfg)}", CSV_HEADER]
-    lines += [template % (rep.f_label, *map(fmt, (rep.p, rep.lhs_skew, rep.violated_skew,
-                                                  rep.lhs_var, rep.violated_var)))
-              for rep in reports]
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"# config = {json.dumps(cfg)}", CSV_HEADER,
+                      *(template % (f, *map(fmt, rest)) for f, *rest in rows)]) + "\n"
 
 
 @main.command("criteria")
@@ -266,13 +257,12 @@ def cmd_criteria(ctx, family, state_file, d, n, k, s, t, r, p, p_range, f_choice
         quantities = parse_f(f_choice)
         fam = _family(family, d, n, state_file)
         m = _build_measurement(fam.d, s, t, r)
-        reports = evaluate_sweep(fam, m, k, [
-            (None if quantity == VARIANCE else quantity, p_val)
-            for p_val in p_values for quantity in quantities])
+        cases = [(q if is_skew(q) else None, p_val) for p_val in p_values for q in quantities]
+        shared, rows = sweep_rows(fam, m, k, cases)
     except ValueError as exc:
         _fail(exc)
     writer = _criteria_json if out_format == "json" else _criteria_csv
-    _emit(writer(_config_echo(ctx.params), reports), output)
+    _emit(writer(_config_echo(ctx.params), shared, rows), output)
     sys.exit(0)
 
 
@@ -299,8 +289,8 @@ def cmd_threshold(ctx, family, state_file, d, n, k, s, t, r, f_choice, out_forma
         for n_val, fam in zip(sorted(n), families):
             k_val = k if k is not None else 3 - n_val
             for quantity in quantities:
-                label = VARIANCE if quantity == VARIANCE else quantity.label
-                criterion = "variance" if quantity == VARIANCE else "skew"
+                label, criterion = ((quantity.label, "skew") if is_skew(quantity)
+                                    else (VARIANCE, "variance"))
                 p_star = threshold_p(fam, m, quantity, k_val)
                 rows.append((n_val, k_val, label, criterion, p_star))
     except ValueError as exc:

@@ -21,6 +21,7 @@ from .infoquant import (
     criterion_lhs_dense,
     criterion_lhs_isotropic,
     generator_terms,
+    is_skew,
 )
 from .linalg import DensityMatrix
 from .partitions import BoundInputs, bound_i, bound_v, enumerate_kstretch
@@ -30,6 +31,7 @@ from .states import IsotropicFamily, effect_moments
 VERDICT_MARGIN = 1e-9
 
 Quantity = Union[MonotoneFunctionSpec, str]
+Cases = Sequence[tuple[Optional[MonotoneFunctionSpec], Optional[float]]]  # (f_spec, p) pairs
 
 
 @dataclass(frozen=True)
@@ -53,9 +55,7 @@ class CriterionReport:
 
     @property
     def verdict(self) -> str:
-        if self.violated_skew or self.violated_var:
-            return "k-nonstretchable"
-        return "inconclusive"
+        return verdict_of(self.violated_skew, self.violated_var)
 
     def to_json_dict(self) -> dict:
         return {
@@ -68,9 +68,13 @@ class CriterionReport:
         }
 
 
+def verdict_of(violated_skew: Optional[bool], violated_var: bool) -> str:
+    return "k-nonstretchable" if violated_skew or violated_var else "inconclusive"
+
+
 def _bounds(m: SymmetricMeasurement, n: int, k: int) -> tuple[float, float]:
     inputs = BoundInputs.from_measurement(m, n, k)
-    return bound_i(inputs), bound_v(inputs)
+    return float(bound_i(inputs)), float(bound_v(inputs))
 
 
 def _moments(family: IsotropicFamily, m: SymmetricMeasurement) -> CollectiveMoments:
@@ -79,36 +83,38 @@ def _moments(family: IsotropicFamily, m: SymmetricMeasurement) -> CollectiveMome
     return effect_moments(family)
 
 
-def _violates(quantity: Quantity, lhs: float, i_bd: float, v_bd: float) -> bool:
-    """The verdict: the skew LHS above the skew bound, or the variance LHS
-    below the variance bound, by more than VERDICT_MARGIN."""
-    if quantity == VARIANCE:
-        return bool(lhs < v_bd - VERDICT_MARGIN)
-    return bool(lhs > i_bd + VERDICT_MARGIN)
+def _violations(i_bd: float, v_bd: float) -> tuple[Callable[[float], bool], ...]:
+    """The verdicts on a skew LHS, above i_bd, and a variance LHS, below v_bd, past VERDICT_MARGIN."""
+    return (lambda lhs, cut=i_bd + VERDICT_MARGIN: bool(lhs > cut),
+            lambda lhs, cut=v_bd - VERDICT_MARGIN: bool(lhs < cut))
 
 
-def _reports(m: SymmetricMeasurement, n: int, k: int, cases,
-             lhs: Callable[[Quantity, Optional[float]], float]) -> list[CriterionReport]:
-    """One report per (f_spec, p) in `cases`; lhs(quantity, p) is the LHS."""
-    i_bd, v_bd = (float(b) for b in _bounds(m, n, k))
-    reports = []
+def _rows(m: SymmetricMeasurement, n: int, k: int, cases: Cases,
+          lhs: Callable[[Quantity, Optional[float]], float]) -> tuple[dict, list[tuple]]:
+    """`sweep_rows` for the LHS lhs(quantity, p) of an n-site state."""
+    i_bd, v_bd = _bounds(m, n, k)
+    shared = dict(N=n, k=k, d=m.d, s=m.s, t=m.t, r=m.r, i_bound=i_bd, v_bound=v_bd)
+    skew_violated, var_violated = _violations(i_bd, v_bd)
+    rows = []
     for f_spec, p in cases:
         lhs_var = lhs(VARIANCE, p)
-        lhs_skew = lhs(f_spec, p) if f_spec is not None else None
-        reports.append(CriterionReport(
-            n=n, k=k, d=m.d, s=m.s, t=m.t, r=m.r,
-            f_label=f_spec.label if f_spec is not None else VARIANCE,
-            lhs_skew=lhs_skew, lhs_var=lhs_var, i_bound=i_bd, v_bound=v_bd,
-            violated_skew=(_violates(f_spec, lhs_skew, i_bd, v_bd)
-                           if lhs_skew is not None else None),
-            violated_var=_violates(VARIANCE, lhs_var, i_bd, v_bd), p=p))
-    return reports
+        if f_spec is None:
+            rows.append((VARIANCE, p, None, None, lhs_var, var_violated(lhs_var)))
+        else:
+            lhs_skew = lhs(f_spec, p)
+            rows.append((f_spec.label, p, lhs_skew, skew_violated(lhs_skew),
+                         lhs_var, var_violated(lhs_var)))
+    return shared, rows
 
 
-def evaluate(state: Union[DensityMatrix, IsotropicFamily],
-             m: SymmetricMeasurement,
-             f_spec: Optional[MonotoneFunctionSpec],
-             k: int,
+def _reports(shared: dict, rows: list[tuple]) -> list[CriterionReport]:
+    n, k, d, s, t, r, i_bd, v_bd = shared.values()
+    return [CriterionReport(n, k, d, s, t, r, f, skew, var, i_bd, v_bd, vs, vv, p)
+            for f, p, skew, vs, var, vv in rows]
+
+
+def evaluate(state: Union[DensityMatrix, IsotropicFamily], m: SymmetricMeasurement,
+             f_spec: Optional[MonotoneFunctionSpec], k: int,
              p: Optional[float] = None) -> CriterionReport:
     """Evaluate both inequalities; f_spec=None skips the skew criterion.
 
@@ -122,19 +128,25 @@ def evaluate(state: Union[DensityMatrix, IsotropicFamily],
     if p is not None:
         raise ValueError("a dense state takes no mixing weight p; mix it into the state")
     terms = generator_terms(state, m, skew=f_spec is not None)
-    return _reports(m, state.n_sites, k, [(f_spec, p)],
-                    lambda quantity, _: criterion_lhs_dense(state, m, quantity, terms))[0]
+    return _reports(*_rows(m, state.n_sites, k, [(f_spec, p)],
+                           lambda quantity, _: criterion_lhs_dense(state, m, quantity, terms)))[0]
+
+
+def sweep_rows(family: IsotropicFamily, m: SymmetricMeasurement, k: int,
+               cases: Cases) -> tuple[dict, list[tuple]]:
+    """Both inequalities on p |psi><psi| + (1-p)/D for each (f_spec, p) in `cases`:
+    the fields all cases share, keyed as in `to_json_dict`, and per case, in order,
+    the row (f label, p, lhs_skew, violated_skew, lhs_var, violated_var)."""
+    n, d, beta = family.n, family.d, m.beta
+    moments = _moments(family, m)
+    return _rows(m, n, k, cases,
+                 lambda quantity, p: criterion_lhs_isotropic(moments, beta, p, d, n, quantity))
 
 
 def evaluate_sweep(family: IsotropicFamily, m: SymmetricMeasurement, k: int,
-                   cases: Sequence[tuple[Optional[MonotoneFunctionSpec], float]]
-                   ) -> list[CriterionReport]:
-    """Both inequalities on p |psi><psi| + (1-p)/D for each (f_spec, p) in
-    `cases`, in order; generator moments and bounds are computed once."""
-    n, d, beta = family.n, family.d, m.beta
-    moments = _moments(family, m)
-    return _reports(m, n, k, cases,
-                    lambda quantity, p: criterion_lhs_isotropic(moments, beta, p, d, n, quantity))
+                   cases: Cases) -> list[CriterionReport]:
+    """The rows of `sweep_rows` as reports, one per case; moments and bounds are computed once."""
+    return _reports(*sweep_rows(family, m, k, cases))
 
 
 def threshold_p(family: IsotropicFamily, m: SymmetricMeasurement,
@@ -149,14 +161,12 @@ def threshold_p(family: IsotropicFamily, m: SymmetricMeasurement,
     beta (d-1) N, by beta N (1-1/d) or more.  The skew LHS rises with p and the
     variance LHS is concave, so the violating p are one interval [p*, 1].
     """
-    n, d = family.n, family.d
+    n, d, beta = family.n, family.d, float(m.beta)
     moments = _moments(family, m)
-    i_bd, v_bd = (float(b) for b in _bounds(m, n, k))
-    beta = float(m.beta)
+    violates = _violations(*_bounds(m, n, k))[0 if is_skew(quantity) else 1]
 
     def violated(p: float) -> bool:
-        lhs = criterion_lhs_isotropic(moments, beta, p, d, n, quantity)
-        return _violates(quantity, lhs, i_bd, v_bd)
+        return violates(criterion_lhs_isotropic(moments, beta, p, d, n, quantity))
 
     return _first(violated) if violated(1.0) else None
 

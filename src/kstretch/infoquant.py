@@ -15,6 +15,7 @@ oracles."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class MonotoneFunctionSpec:
         if self.family == "wyd" and not 0 < self.omega < 1:
             raise ValueError(f"omega must be in (0,1), got {self.omega}")
 
-    @property
+    @cached_property  # in the instance __dict__, which eq, hash and repr never read
     def label(self) -> str:
         if self.family == "qfi":
             return "qfi"
@@ -52,6 +53,16 @@ class MonotoneFunctionSpec:
 
 QFI = MonotoneFunctionSpec("qfi")
 WYD_HALF = MonotoneFunctionSpec("wyd", 0.5)
+
+
+def is_skew(quantity) -> bool:
+    """True for a MonotoneFunctionSpec, False for VARIANCE, by a type test:
+    `spec == VARIANCE` would run the dataclass __eq__ and then str's."""
+    if isinstance(quantity, MonotoneFunctionSpec):
+        return True
+    if quantity != VARIANCE:
+        raise ValueError(f"unknown quantity {quantity!r}")
+    return False
 
 
 def _pair_weight(a, b, spec: MonotoneFunctionSpec):
@@ -184,7 +195,7 @@ def criterion_lhs_dense(rho: DensityMatrix, m, quantity, terms: tuple | None = N
     sum W_RR o B + 2 sum_k w(lam_k, b) (n_k - sum_j B_jk), b the flat level of
     the weights; the variance uses Tr rho G^j = c Tr G^j + sum_R (lam_k - c)
     <v_k|G^j|v_k>, Tr G = 0, Tr G^2 = n D / d."""
-    skew = quantity != VARIANCE
+    skew = is_skew(quantity)
     norms, rows, block = terms or generator_terms(rho, m, skew)
     lam_r, c, b, _ = rho.split
     if not skew:
@@ -219,6 +230,6 @@ def criterion_lhs_isotropic(moments: CollectiveMoments, beta: float, p: float,
     skew factor."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if quantity == VARIANCE:
-        return beta * variance_sum(moments, p, d, n)
-    return two_level_factor(p, d, n, quantity) * beta * moments.pure_variance
+    if is_skew(quantity):
+        return two_level_factor(p, d, n, quantity) * beta * moments.pure_variance
+    return beta * variance_sum(moments, p, d, n)

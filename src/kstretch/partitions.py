@@ -34,9 +34,17 @@ def _int_partitions_desc(n: int, largest: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _check_integers(n: int, k: int) -> None:
+    """N and k index partitions, so a float of either is a ValueError, not a
+    TypeError deep in a range or a silently rounded stretchability."""
+    if not (isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)):
+        raise ValueError(f"N = {n!r} and k = {k!r} must be integers")
+
+
 def enumerate_kstretch(n: int, k: int) -> list[tuple[int, ...]]:
     """All block-size partitions of n with stretchability <= k,
     descending-lexicographic order.  Empty (with a warning) if k < 1-n."""
+    _check_integers(n, k)
     if k < 1 - n:
         warnings.warn(f"no partition of {n} is {k}-stretchable", stacklevel=2)
         return []
@@ -70,6 +78,7 @@ def count_kstretch(n: int, k: int) -> int:
     m <= k of N(m, n) = sum_{j>=1} (-1)^(j-1) [p(n - j(3j-1)/2 - j|m|)
     - p(n - j(3j+1)/2 - j|m|)], p the partition numbers: O(n^1.5) steps.
     """
+    _check_integers(n, k)
     if k < 1 - n:
         return 0
     p = _partition_numbers(n)
@@ -90,8 +99,7 @@ def max_sum_squares(n: int, k: int) -> int:
     q = (n-L)//(b-1) blocks of size b, one block of size 1 + remainder,
     and ones elsewhere.  M is the maximum of that over L: O(n) steps.
     """
-    if not (isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)):
-        raise ValueError(f"N = {n!r} and k = {k!r} must be integers")
+    _check_integers(n, k)
     if k < 1 - n:
         warnings.warn(f"no partition of {n} is {k}-stretchable", stacklevel=2)
         raise ValueError(f"no {k}-stretchable partition of {n} exists")

@@ -9,10 +9,10 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
-from kstretch import cli, povm
+from kstretch import cli, criteria, povm
 from kstretch.basis import gell_mann_basis
 from kstretch.cli import CSV_HEADER, fmt, main
-from kstretch.criteria import threshold_p
+from kstretch.criteria import CriterionReport, evaluate_sweep, threshold_p
 from kstretch.infoquant import QFI, VARIANCE, WYD_HALF, MonotoneFunctionSpec
 from kstretch.povm import SymmetricMeasurement, build_stpovm
 from kstretch.states import ghz_qudit
@@ -215,23 +215,30 @@ WRITER_CASES = {
 }
 
 
-@pytest.mark.parametrize("out_format", ["json", "csv"])
-@pytest.mark.parametrize("case", list(WRITER_CASES))
-def test_criteria_writers_match_oracles(runner, monkeypatch, tmp_path, case, out_format):
-    """The template writers give, byte for byte, the text of the per-field
-    writers they replaced, on the same config and reports."""
+def _writer_case_args(tmp_path, case):
     state = tmp_path / 'w "stäte".json'
     amps = [[0.0, 0.0], [3 ** -0.5, 0.0], [3 ** -0.5, 0.0], [0.0, 0.0],
             [3 ** -0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
     state.write_text(json.dumps({"site_dims": [2, 2, 2], "amplitudes": amps}))
-    args = [str(state) if a == "{state}" else a for a in WRITER_CASES[case]]
-    seen = []
-    for name in ("evaluate_sweep", "_config_echo"):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *a, real=real: seen.append(real(*a)) or seen[-1])
+    return state, [str(state) if a == "{state}" else a for a in WRITER_CASES[case]]
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_criteria_writers_match_oracles(runner, monkeypatch, tmp_path, case, out_format):
+    """The row writers give, byte for byte, the text of the per-field
+    writers they replaced, on the same config and on the reports that
+    `evaluate_sweep` gives for the arguments the CLI passed to `sweep_rows`."""
+    state, args = _writer_case_args(tmp_path, case)
+    sweeps, configs = [], []
+    real_rows, real_echo = cli.sweep_rows, cli._config_echo
+    monkeypatch.setattr(cli, "sweep_rows", lambda *a: sweeps.append(a) or real_rows(*a))
+    monkeypatch.setattr(cli, "_config_echo",
+                        lambda *a: configs.append(real_echo(*a)) or configs[-1])
     result = runner.invoke(main, ["criteria", *args, "--format", out_format])
     assert result.exit_code == 0, result.output
-    reports, cfg = seen
+    [sweep], [cfg] = sweeps, configs
+    reports = evaluate_sweep(*sweep)
     oracle = _json_oracle if out_format == "json" else _csv_oracle
     assert result.output == oracle(cfg, reports)
     assert reports
@@ -239,6 +246,23 @@ def test_criteria_writers_match_oracles(runner, monkeypatch, tmp_path, case, out
         assert all(rep.lhs_skew is None for rep in reports)
     if case == "state-file":
         assert json.dumps(str(state)) in result.output
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+def test_criteria_builds_no_reports(runner, monkeypatch, tmp_path, out_format):
+    """The CLI writes the rows of `sweep_rows` as they are: it builds no
+    CriterionReport, where `evaluate_sweep` under the same counter builds
+    one per row."""
+    built = []
+    monkeypatch.setattr(criteria, "CriterionReport",
+                        lambda *fields: built.append(fields) or CriterionReport(*fields))
+    _, args = _writer_case_args(tmp_path, "ghz-all")
+    result = runner.invoke(main, ["criteria", *args, "--format", out_format])
+    assert result.exit_code == 0, result.output
+    assert built == []
+    m = build_stpovm(gell_mann_basis(3), 1, 9)
+    assert len(evaluate_sweep(ghz_qudit(3, 5), m, -2, [(QFI, 0.5), (None, 1.0)])) == 2
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])

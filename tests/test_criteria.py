@@ -177,6 +177,27 @@ def test_evaluate_sweep_one_lhs_call_per_cell(m19, monkeypatch):
         repr(evaluate(fam, m19, f_spec, -1, p=p)) for f_spec, p in cases]
 
 
+def test_evaluate_sweep_reports_are_the_rows(m19):
+    """Each report of `evaluate_sweep` holds, bit for bit, the shared fields
+    and the row that `sweep_rows` gives for its case: a p of -0.0 keeps its
+    sign, and a case without a skew quantity has a null skew LHS and verdict."""
+    fam = ghz_qudit(3, 4)
+    cases = [(QFI, -0.0), (None, -0.0), (WYD_HALF, 0.45), (None, 0.2),
+             (MonotoneFunctionSpec("wyd", 0.3), 1.0)]
+    shared, rows = criteria.sweep_rows(fam, m19, -1, cases)
+    reports = evaluate_sweep(fam, m19, -1, cases)
+    assert len(reports) == len(rows) == len(cases)
+    row_keys = ("f", "p", "lhs_skew", "violated_skew", "lhs_var", "violated_var")
+    for rep, row in zip(reports, rows):
+        fields = rep.to_json_dict()
+        assert repr([fields[key] for key in shared]) == repr(list(shared.values()))
+        assert repr(tuple(fields[key] for key in row_keys)) == repr(row)  # repr keeps -0.0
+    assert [row[0] for row in rows] == ["qfi", VARIANCE, "wyd:0.5", VARIANCE, "wyd:0.3"]
+    assert [math.copysign(1.0, rep.p) for rep in reports[:2]] == [-1.0, -1.0]
+    assert rows[1][2:4] == rows[3][2:4] == (None, None)
+    assert all(type(flag) is bool for row in rows for flag in (row[3], row[5]) if flag is not None)
+
+
 def test_dense_evaluate_decomposes_once(m19, monkeypatch):
     """QFI, WYD and variance on one state built from entries share one
     eigendecomposition."""

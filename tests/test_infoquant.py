@@ -11,7 +11,7 @@ from numpy import kron
 from conftest import random_density, random_hermitian, random_pure
 from kstretch import linalg
 from kstretch.basis import gell_mann_basis
-from kstretch.criteria import random_kstretchable_density
+from kstretch.criteria import evaluate, evaluate_sweep, random_kstretchable_density, threshold_p
 from kstretch.infoquant import (
     QFI,
     VARIANCE,
@@ -137,6 +137,25 @@ def test_isotropic_path_matches_dense(m14):
 def test_isotropic_path_rejects_bad_p(m14):
     with pytest.raises(ValueError):
         criterion_lhs_isotropic(CollectiveMoments(0.0, 0.0), m14.beta, 1.2, 2, 2, VARIANCE)
+
+
+def test_quantity_kind_needs_no_spec_equality(m14, monkeypatch):
+    """Both LHS paths, the sweep and the threshold tell a spec from VARIANCE
+    by type, never through the spec's dataclass __eq__; a string other than
+    VARIANCE is a ValueError, not a variance LHS or an AttributeError."""
+    monkeypatch.setattr(MonotoneFunctionSpec, "__eq__",
+                        lambda *args: pytest.fail("spec __eq__ called"))
+    fam, moments = ghz_qudit(2, 3), CollectiveMoments(0.5, 4.0)
+    assert evaluate_sweep(fam, m14, 0, [(QFI, 0.9), (WYD_HALF, 0.5), (None, 0.2)])
+    threshold_p(fam, m14, QFI, 0)
+    assert evaluate(materialize_dense(fam, 0.9), m14, WYD_HALF, 0).lhs_skew > 0
+    for quantity in ("qfi", "Variance", None):
+        with pytest.raises(ValueError, match="unknown quantity"):
+            criterion_lhs_isotropic(moments, m14.beta, 0.5, 2, 3, quantity)
+        with pytest.raises(ValueError, match="unknown quantity"):
+            criterion_lhs_dense(materialize_dense(fam, 0.5), m14, quantity)
+        with pytest.raises(ValueError, match="unknown quantity"):
+            threshold_p(fam, m14, quantity, 0)
 
 
 def per_effect_variances(m, fam, p: float) -> tuple[float, float]:

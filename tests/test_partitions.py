@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -87,6 +88,18 @@ def test_empty_below_range():
     with pytest.warns(UserWarning):
         with pytest.raises(ValueError):
             max_sum_squares(3, -3)
+
+
+@pytest.mark.parametrize("func", [count_kstretch, enumerate_kstretch, max_sum_squares])
+def test_partition_functions_reject_non_integers(func):
+    """A float N or k is the same ValueError, naming both, in every function
+    that takes them: count_kstretch(6, 0.5) raised a TypeError from range(),
+    and enumerate_kstretch(6, 0.5) returned the partitions of k = 0.  Numpy
+    integers still count."""
+    for n, k in ((6, 0.5), (6.0, 0), (6, np.float64(0.0))):
+        with pytest.raises(ValueError, match=re.escape(f"N = {n!r} and k = {k!r} must be integers")):
+            func(n, k)
+    assert func(np.int64(6), np.int32(0)) == func(6, 0)
 
 
 @pytest.mark.parametrize("n,k,expected", [
