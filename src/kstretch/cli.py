@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from .basis import gell_mann_basis
-from .criteria import sweep_rows, threshold_p, verdict_of
+from .criteria import ROW_KEYS, sweep_rows, threshold_p, verdict_of
 from .infoquant import QFI, VARIANCE, WYD_HALF, MonotoneFunctionSpec, is_skew
 from .partitions import (
     BoundInputs,
@@ -31,7 +31,7 @@ from .partitions import (
 from .povm import build_stpovm
 from .states import antisymmetric_state, ghz_qudit, load_state_file
 
-CSV_HEADER = "N,k,d,s,t,r,f,p,lhs_skew,i_bound,violated_skew,lhs_var,v_bound,violated_var"
+CSV_HEADER = ",".join(ROW_KEYS)
 
 
 def fmt(x) -> str:
@@ -56,7 +56,7 @@ def parse_f(value: str) -> list:
             return [MonotoneFunctionSpec("wyd", float(value[4:]))]
         except ValueError:
             pass
-    raise click.BadParameter(f"unknown quantity {value!r}")
+    raise click.BadParameter(f"unknown quantity {value!r}", param_hint="'--f'")
 
 
 def _as_arg(name: str, value):
@@ -208,7 +208,7 @@ def _p_values(p: tuple[float, ...], p_range: Optional[str]) -> list[float]:
     elif p:
         values = sorted(float(x) for x in p)
     else:
-        raise click.BadParameter("provide --p or --p-range")
+        raise click.BadParameter("provide --p or --p-range", param_hint=["--p", "--p-range"])
     for p_val in values:
         if not 0.0 <= p_val <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p_val}")
@@ -222,7 +222,7 @@ def _criteria_json(cfg: dict, shared: dict, rows: list) -> str:
     head = json.dumps({"config": cfg, "rows": []}, indent=2)
     template = "    {\n" + ",\n".join(
         f'      "{key}": ' + (json.dumps(shared[key]) if key in shared else "%s")
-        for key in (*CSV_HEADER.split(","), "verdict")) + "\n    }"
+        for key in (*ROW_KEYS, "verdict")) + "\n    }"
     verdicts = {(vs, vv): json.dumps(verdict_of(vs, vv))
                 for vs in (True, False, None) for vv in (True, False)}
     # no label, number, bool or null holds a "," or "],[", so the splits find the cells
@@ -234,8 +234,7 @@ def _criteria_json(cfg: dict, shared: dict, rows: list) -> str:
 
 def _criteria_csv(cfg: dict, shared: dict, rows: list) -> str:
     """CSV of these `sweep_rows`: each row fills a template holding the shared fields."""
-    template = ",".join(fmt(shared[key]) if key in shared else "%s"
-                        for key in CSV_HEADER.split(","))
+    template = ",".join(fmt(shared[key]) if key in shared else "%s" for key in ROW_KEYS)
     return "\n".join([f"# config = {json.dumps(cfg)}", CSV_HEADER,
                       *(template % (f, *map(fmt, rest)) for f, *rest in rows)]) + "\n"
 
@@ -257,8 +256,7 @@ def cmd_criteria(ctx, family, state_file, d, n, k, s, t, r, p, p_range, f_choice
         quantities = parse_f(f_choice)
         fam = _family(family, d, n, state_file)
         m = _build_measurement(fam.d, s, t, r)
-        cases = [(q if is_skew(q) else None, p_val) for p_val in p_values for q in quantities]
-        shared, rows = sweep_rows(fam, m, k, cases)
+        shared, rows = sweep_rows(fam, m, k, quantities, p_values)
     except ValueError as exc:
         _fail(exc)
     writer = _criteria_json if out_format == "json" else _criteria_csv

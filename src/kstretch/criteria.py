@@ -16,7 +16,6 @@ import numpy as np
 
 from .infoquant import (
     VARIANCE,
-    CollectiveMoments,
     MonotoneFunctionSpec,
     criterion_lhs_dense,
     criterion_lhs_isotropic,
@@ -31,7 +30,13 @@ from .states import IsotropicFamily, effect_moments
 VERDICT_MARGIN = 1e-9
 
 Quantity = Union[MonotoneFunctionSpec, str]
-Cases = Sequence[tuple[Optional[MonotoneFunctionSpec], Optional[float]]]  # (f_spec, p) pairs
+State = Union[DensityMatrix, IsotropicFamily]
+
+# the fields of a criteria row in output order: a sweep's shared fields
+# (N, k, d, s, t, r and both bounds) and, in between, the cells of each row
+ROW_KEYS = ("N", "k", "d", "s", "t", "r", "f", "p", "lhs_skew", "i_bound", "violated_skew",
+            "lhs_var", "v_bound", "violated_var")
+_ATTRIBUTE = {"N": "n", "f": "f_label"}  # the CriterionReport field of a row key
 
 
 @dataclass(frozen=True)
@@ -58,14 +63,8 @@ class CriterionReport:
         return verdict_of(self.violated_skew, self.violated_var)
 
     def to_json_dict(self) -> dict:
-        return {
-            "N": self.n, "k": self.k, "d": self.d, "s": self.s, "t": self.t,
-            "r": self.r, "f": self.f_label, "p": self.p,
-            "lhs_skew": self.lhs_skew, "i_bound": self.i_bound,
-            "violated_skew": self.violated_skew,
-            "lhs_var": self.lhs_var, "v_bound": self.v_bound,
-            "violated_var": self.violated_var, "verdict": self.verdict,
-        }
+        fields = {key: getattr(self, _ATTRIBUTE.get(key, key)) for key in ROW_KEYS}
+        return {**fields, "verdict": self.verdict}
 
 
 def verdict_of(violated_skew: Optional[bool], violated_var: bool) -> str:
@@ -77,76 +76,65 @@ def _bounds(m: SymmetricMeasurement, n: int, k: int) -> tuple[float, float]:
     return float(bound_i(inputs)), float(bound_v(inputs))
 
 
-def _moments(family: IsotropicFamily, m: SymmetricMeasurement) -> CollectiveMoments:
-    if family.d != m.d:
-        raise ValueError(f"state dimension {family.d} != measurement dimension {m.d}")
-    return effect_moments(family)
-
-
 def _violations(i_bd: float, v_bd: float) -> tuple[Callable[[float], bool], ...]:
     """The verdicts on a skew LHS, above i_bd, and a variance LHS, below v_bd, past VERDICT_MARGIN."""
     return (lambda lhs, cut=i_bd + VERDICT_MARGIN: bool(lhs > cut),
             lambda lhs, cut=v_bd - VERDICT_MARGIN: bool(lhs < cut))
 
 
-def _rows(m: SymmetricMeasurement, n: int, k: int, cases: Cases,
-          lhs: Callable[[Quantity, Optional[float]], float]) -> tuple[dict, list[tuple]]:
-    """`sweep_rows` for the LHS lhs(quantity, p) of an n-site state."""
+def _state_lhs(state: State, m: SymmetricMeasurement, skew: bool,
+               p_values: Sequence[Optional[float]]) -> tuple[int, Callable]:
+    """(n, lhs): the site count of `state` and lhs(quantity)(p), its LHS at mixing weight p, for
+    a skew quantity only if `skew`.  An IsotropicFamily needs a p in each of `p_values` and
+    reads its moments once; a DensityMatrix, p = None only, makes one generator pass."""
+    if isinstance(state, IsotropicFamily):
+        if None in p_values:
+            raise ValueError("isotropic evaluation requires a mixing weight p")
+        if state.d != m.d:
+            raise ValueError(f"state dimension {state.d} != measurement dimension {m.d}")
+        moments, beta, d, n = effect_moments(state), m.beta, state.d, state.n
+        return n, lambda q: lambda p: criterion_lhs_isotropic(moments, beta, p, d, n, q)
+    if any(p is not None for p in p_values):
+        raise ValueError("a dense state takes no mixing weight p; mix it into the state")
+    terms = generator_terms(state, m, skew)
+    return state.n_sites, lambda q: lambda _: criterion_lhs_dense(state, m, q, terms)
+
+
+def sweep_rows(state: State, m: SymmetricMeasurement, k: int, quantities: Sequence[Quantity],
+               p_values: Sequence[Optional[float]]) -> tuple[dict, list[tuple]]:
+    """Both inequalities on `state` at each p of `p_values` ([None] for a dense state) for each
+    quantity (a MonotoneFunctionSpec or VARIANCE): the fields all rows share, keyed as in
+    ROW_KEYS, and per (p, quantity), p-major, the row (f label, p, lhs_skew, violated_skew,
+    lhs_var, violated_var), from one variance LHS per p; a VARIANCE row has no skew cells."""
+    skews = [is_skew(quantity) for quantity in quantities]
+    n, lhs = _state_lhs(state, m, any(skews), p_values)
     i_bd, v_bd = _bounds(m, n, k)
     shared = dict(N=n, k=k, d=m.d, s=m.s, t=m.t, r=m.r, i_bound=i_bd, v_bound=v_bd)
     skew_violated, var_violated = _violations(i_bd, v_bd)
+    columns = [(quantity.label, lhs(quantity)) if skew else (VARIANCE, None)
+               for quantity, skew in zip(quantities, skews)]
+    lhs_var_at = lhs(VARIANCE)
     rows = []
-    for f_spec, p in cases:
-        lhs_var = lhs(VARIANCE, p)
-        if f_spec is None:
-            rows.append((VARIANCE, p, None, None, lhs_var, var_violated(lhs_var)))
-        else:
-            lhs_skew = lhs(f_spec, p)
-            rows.append((f_spec.label, p, lhs_skew, skew_violated(lhs_skew),
-                         lhs_var, var_violated(lhs_var)))
+    for p in p_values:
+        lhs_var = lhs_var_at(p)
+        var_cells = (lhs_var, var_violated(lhs_var))
+        for label, lhs_skew_at in columns:
+            if lhs_skew_at is None:
+                rows.append((label, p, None, None, *var_cells))
+            else:
+                lhs_skew = lhs_skew_at(p)
+                rows.append((label, p, lhs_skew, skew_violated(lhs_skew), *var_cells))
     return shared, rows
 
 
-def _reports(shared: dict, rows: list[tuple]) -> list[CriterionReport]:
-    n, k, d, s, t, r, i_bd, v_bd = shared.values()
-    return [CriterionReport(n, k, d, s, t, r, f, skew, var, i_bd, v_bd, vs, vv, p)
-            for f, p, skew, vs, var, vv in rows]
-
-
-def evaluate(state: Union[DensityMatrix, IsotropicFamily], m: SymmetricMeasurement,
-             f_spec: Optional[MonotoneFunctionSpec], k: int,
+def evaluate(state: State, m: SymmetricMeasurement, f_spec: Optional[Quantity], k: int,
              p: Optional[float] = None) -> CriterionReport:
-    """Evaluate both inequalities; f_spec=None skips the skew criterion.
-
-    `state` is a dense DensityMatrix, which takes no p, or an
-    IsotropicFamily together with a mixing weight p (the exact fast path).
-    """
-    if isinstance(state, IsotropicFamily):
-        if p is None:
-            raise ValueError("isotropic evaluation requires a mixing weight p")
-        return evaluate_sweep(state, m, k, [(f_spec, p)])[0]
-    if p is not None:
-        raise ValueError("a dense state takes no mixing weight p; mix it into the state")
-    terms = generator_terms(state, m, skew=f_spec is not None)
-    return _reports(*_rows(m, state.n_sites, k, [(f_spec, p)],
-                           lambda quantity, _: criterion_lhs_dense(state, m, quantity, terms)))[0]
-
-
-def sweep_rows(family: IsotropicFamily, m: SymmetricMeasurement, k: int,
-               cases: Cases) -> tuple[dict, list[tuple]]:
-    """Both inequalities on p |psi><psi| + (1-p)/D for each (f_spec, p) in `cases`:
-    the fields all cases share, keyed as in `to_json_dict`, and per case, in order,
-    the row (f label, p, lhs_skew, violated_skew, lhs_var, violated_var)."""
-    n, d, beta = family.n, family.d, m.beta
-    moments = _moments(family, m)
-    return _rows(m, n, k, cases,
-                 lambda quantity, p: criterion_lhs_isotropic(moments, beta, p, d, n, quantity))
-
-
-def evaluate_sweep(family: IsotropicFamily, m: SymmetricMeasurement, k: int,
-                   cases: Cases) -> list[CriterionReport]:
-    """The rows of `sweep_rows` as reports, one per case; moments and bounds are computed once."""
-    return _reports(*sweep_rows(family, m, k, cases))
+    """Evaluate both inequalities; f_spec = None or VARIANCE skips the skew criterion.
+    A dense DensityMatrix takes no p, an IsotropicFamily a mixing weight p (exact)."""
+    quantity = VARIANCE if f_spec is None else f_spec
+    shared, [(f, p, skew, vs, var, vv)] = sweep_rows(state, m, k, [quantity], [p])
+    n, k, d, s, t, r, i_bd, v_bd = shared.values()
+    return CriterionReport(n, k, d, s, t, r, f, skew, var, i_bd, v_bd, vs, vv, p)
 
 
 def threshold_p(family: IsotropicFamily, m: SymmetricMeasurement,
@@ -161,12 +149,12 @@ def threshold_p(family: IsotropicFamily, m: SymmetricMeasurement,
     beta (d-1) N, by beta N (1-1/d) or more.  The skew LHS rises with p and the
     variance LHS is concave, so the violating p are one interval [p*, 1].
     """
-    n, d, beta = family.n, family.d, float(m.beta)
-    moments = _moments(family, m)
-    violates = _violations(*_bounds(m, n, k))[0 if is_skew(quantity) else 1]
+    skew = is_skew(quantity)
+    n, lhs = _state_lhs(family, m, skew, [1.0])
+    violates, lhs_at = _violations(*_bounds(m, n, k))[0 if skew else 1], lhs(quantity)
 
     def violated(p: float) -> bool:
-        return violates(criterion_lhs_isotropic(moments, beta, p, d, n, quantity))
+        return violates(lhs_at(p))
 
     return _first(violated) if violated(1.0) else None
 

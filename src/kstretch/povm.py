@@ -14,6 +14,7 @@ an (s, t, d^2) array of indices into it, so one measurement has one file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,9 +91,9 @@ class SymmetricMeasurement:
 
     @property
     def beta(self) -> float:
-        """SWAP weight r^2 t (sqrt(t)+1)^2 of the certified conical 2-design
-        sum_uv A (x) A = (s/t - beta/d) 1 + beta SWAP."""
-        return self.r**2 * self.t * (np.sqrt(self.t) + 1) ** 2
+        """SWAP weight r^2 t (sqrt(t)+1)^2, a Python float, of the certified conical
+        2-design sum_uv A (x) A = (s/t - beta/d) 1 + beta SWAP."""
+        return float(self.r) ** 2 * self.t * (math.sqrt(self.t) + 1) ** 2
 
     def iter_effects(self):
         for row in self.effects:

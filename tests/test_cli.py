@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from kstretch import cli, criteria, povm
 from kstretch.basis import gell_mann_basis
 from kstretch.cli import CSV_HEADER, fmt, main
-from kstretch.criteria import CriterionReport, evaluate_sweep, threshold_p
+from kstretch.criteria import CriterionReport, evaluate, threshold_p
 from kstretch.infoquant import QFI, VARIANCE, WYD_HALF, MonotoneFunctionSpec
 from kstretch.povm import SymmetricMeasurement, build_stpovm
 from kstretch.states import ghz_qudit
@@ -228,7 +228,8 @@ def _writer_case_args(tmp_path, case):
 def test_criteria_writers_match_oracles(runner, monkeypatch, tmp_path, case, out_format):
     """The row writers give, byte for byte, the text of the per-field
     writers they replaced, on the same config and on the reports that
-    `evaluate_sweep` gives for the arguments the CLI passed to `sweep_rows`."""
+    `evaluate` gives for each (p, quantity) cell of the grid the CLI passed
+    to `sweep_rows`, p-major."""
     state, args = _writer_case_args(tmp_path, case)
     sweeps, configs = [], []
     real_rows, real_echo = cli.sweep_rows, cli._config_echo
@@ -237,8 +238,8 @@ def test_criteria_writers_match_oracles(runner, monkeypatch, tmp_path, case, out
                         lambda *a: configs.append(real_echo(*a)) or configs[-1])
     result = runner.invoke(main, ["criteria", *args, "--format", out_format])
     assert result.exit_code == 0, result.output
-    [sweep], [cfg] = sweeps, configs
-    reports = evaluate_sweep(*sweep)
+    [(fam, m, k, quantities, p_values)], [cfg] = sweeps, configs
+    reports = [evaluate(fam, m, q, k, p) for p in p_values for q in quantities]
     oracle = _json_oracle if out_format == "json" else _csv_oracle
     assert result.output == oracle(cfg, reports)
     assert reports
@@ -251,8 +252,8 @@ def test_criteria_writers_match_oracles(runner, monkeypatch, tmp_path, case, out
 @pytest.mark.parametrize("out_format", ["json", "csv"])
 def test_criteria_builds_no_reports(runner, monkeypatch, tmp_path, out_format):
     """The CLI writes the rows of `sweep_rows` as they are: it builds no
-    CriterionReport, where `evaluate_sweep` under the same counter builds
-    one per row."""
+    CriterionReport, where `evaluate` under the same counter builds one
+    per call."""
     built = []
     monkeypatch.setattr(criteria, "CriterionReport",
                         lambda *fields: built.append(fields) or CriterionReport(*fields))
@@ -261,7 +262,8 @@ def test_criteria_builds_no_reports(runner, monkeypatch, tmp_path, out_format):
     assert result.exit_code == 0, result.output
     assert built == []
     m = build_stpovm(gell_mann_basis(3), 1, 9)
-    assert len(evaluate_sweep(ghz_qudit(3, 5), m, -2, [(QFI, 0.5), (None, 1.0)])) == 2
+    evaluate(ghz_qudit(3, 5), m, QFI, -2, 0.5)
+    evaluate(ghz_qudit(3, 5), m, VARIANCE, -2, 1.0)
     assert len(built) == 2
 
 
@@ -468,6 +470,16 @@ def test_p_range_form_checked(runner, monkeypatch, p_range):
             "with COUNT >= 1") in result.output
 
 
+def test_criteria_without_p_is_usage_error(runner, monkeypatch):
+    """A criteria sweep with neither --p nor --p-range is a usage error
+    (exit 2) that names both options, found before any measurement is built."""
+    monkeypatch.setattr(cli, "_build_measurement", lambda *a: pytest.fail("measurement built"))
+    result = runner.invoke(main, ["criteria", "--n", "3", "--k", "0"])
+    assert result.exit_code == 2, result.output
+    assert ("Error: Invalid value for '--p' / '--p-range': provide --p or --p-range"
+            in result.output)
+
+
 def test_config_values_cast_like_flags(runner, tmp_path):
     """Config values equal the same flags given on the command line."""
     cfg = tmp_path / "cfg.json"
@@ -602,16 +614,16 @@ def test_malformed_config_is_usage_error(runner, tmp_path, text, message):
 
 
 @pytest.mark.parametrize("value", ["wydzzz", "qfix", "variances", "WYD",
-                                   "wyd:abc", "wyd:", "wyd:2", "wyd:nan"])
+                                   "wyd:abc", "wyd:", "wyd:1", "wyd:2", "wyd:nan"])
 @pytest.mark.parametrize("command", ["criteria", "threshold"])
 def test_f_accepts_only_documented_values(runner, monkeypatch, command, value):
     """--f is qfi, wyd, wyd:<omega>, variance or all; anything else is a usage
-    error found before any measurement is built."""
+    error naming --f, found before any measurement is built."""
     monkeypatch.setattr(cli, "_build_measurement", lambda *a: pytest.fail("measurement built"))
     args = [command, "--n", "5", "--f", value]
     result = runner.invoke(main, args + (["--k", "0", "--p", "1"] if command == "criteria" else []))
     assert result.exit_code == 2, result.output
-    assert f"Invalid value: unknown quantity {value!r}" in result.output
+    assert f"Invalid value for '--f': unknown quantity {value!r}" in result.output
 
 
 def test_parse_f_returns_new_lists_of_quantities():

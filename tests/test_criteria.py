@@ -19,7 +19,6 @@ from kstretch.criteria import (
     VERDICT_MARGIN,
     CriterionReport,
     evaluate,
-    evaluate_sweep,
     random_kstretchable_density,
     threshold_p,
 )
@@ -144,58 +143,104 @@ def test_evaluate_dimension_mismatch(m19):
         evaluate(ghz_qudit(2, 3), m19, QFI, k=0, p=0.5)
 
 
-def test_evaluate_sweep_computes_moments_once(m19, monkeypatch):
+def _report_cells(report):
+    """The fields of a report in the layout of a `sweep_rows` row."""
+    return (report.f_label, report.p, report.lhs_skew, report.violated_skew,
+            report.lhs_var, report.violated_var)
+
+
+def test_sweep_rows_computes_moments_once(m19, monkeypatch):
     """A sweep computes the state's moments once and matches evaluate row by row."""
     fam = ghz_qudit(3, 4)
-    cases = [(f_spec, p) for p in (0.0, 0.45, 1.0) for f_spec in (QFI, WYD_HALF, None)]
-    expected = [evaluate(fam, m19, f_spec, -1, p=p).to_json_dict() for f_spec, p in cases]
+    quantities, p_values = (QFI, WYD_HALF, VARIANCE), (0.0, 0.45, 1.0)
+    expected = [_report_cells(evaluate(fam, m19, q, -1, p=p)) for p in p_values for q in quantities]
     calls = []
     real = criteria.effect_moments
     monkeypatch.setattr(criteria, "effect_moments",
                         lambda family: calls.append(1) or real(family))
-    reports = evaluate_sweep(fam, m19, -1, cases)
+    _, rows = criteria.sweep_rows(fam, m19, -1, quantities, p_values)
     assert len(calls) == 1
-    assert [rep.to_json_dict() for rep in reports] == expected
+    assert rows == expected
 
 
-def test_evaluate_sweep_one_lhs_call_per_cell(m19, monkeypatch):
-    """A sweep over P values and F skew quantities makes |P| (1 + 2F) direct
-    LHS calls, one per skew and variance cell of its |P| (1 + F) rows, and
-    every row has the bits that evaluate gives, at p = -0.0 too."""
+def test_sweep_rows_one_lhs_call_per_cell(m19, monkeypatch):
+    """A sweep over P values and F skew quantities makes |P| (1 + F) direct
+    LHS calls, one variance LHS per p and one per skew cell of its |P| (1 + F)
+    rows, and every row has the bits that evaluate gives, at p = -0.0 too."""
     fam = ghz_qudit(3, 4)
-    p_values, skews = (0.0, 0.3, 0.45, 1.0), (QFI, WYD_HALF, MonotoneFunctionSpec("wyd", 0.3))
-    cases = [(f_spec, p) for p in p_values for f_spec in (*skews, None)]
+    p_values, skews = [0.0, 0.3, 0.45, 1.0], (QFI, WYD_HALF, MonotoneFunctionSpec("wyd", 0.3))
+    quantities = [*skews, VARIANCE]
     calls = []
     real = criteria.criterion_lhs_isotropic
     monkeypatch.setattr(criteria, "criterion_lhs_isotropic",
-                        lambda *args: calls.append(1) or real(*args))
-    reports = evaluate_sweep(fam, m19, -1, cases)
-    assert len(calls) == len(p_values) * (1 + 2 * len(skews)) == 28
-    cases += [(QFI, -0.0), (None, -0.0)]
-    reports = evaluate_sweep(fam, m19, -1, cases)
-    assert [repr(rep) for rep in reports] == [
-        repr(evaluate(fam, m19, f_spec, -1, p=p)) for f_spec, p in cases]
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    criteria.sweep_rows(fam, m19, -1, quantities, p_values)
+    assert len(calls) == len(p_values) * (1 + len(skews)) == 16
+    p_values.append(-0.0)
+    _, rows = criteria.sweep_rows(fam, m19, -1, quantities, p_values)
+    assert [repr(row) for row in rows] == [
+        repr(_report_cells(evaluate(fam, m19, q, -1, p=p))) for p in p_values for q in quantities]
 
 
-def test_evaluate_sweep_reports_are_the_rows(m19):
-    """Each report of `evaluate_sweep` holds, bit for bit, the shared fields
-    and the row that `sweep_rows` gives for its case: a p of -0.0 keeps its
-    sign, and a case without a skew quantity has a null skew LHS and verdict."""
+def test_evaluate_reports_are_the_rows(m19):
+    """Each `evaluate` report holds, bit for bit, the shared fields and the
+    row that `sweep_rows` gives for its cell: a p of -0.0 keeps its sign,
+    and a VARIANCE cell has a null skew LHS and verdict."""
     fam = ghz_qudit(3, 4)
-    cases = [(QFI, -0.0), (None, -0.0), (WYD_HALF, 0.45), (None, 0.2),
-             (MonotoneFunctionSpec("wyd", 0.3), 1.0)]
-    shared, rows = criteria.sweep_rows(fam, m19, -1, cases)
-    reports = evaluate_sweep(fam, m19, -1, cases)
-    assert len(reports) == len(rows) == len(cases)
-    row_keys = ("f", "p", "lhs_skew", "violated_skew", "lhs_var", "violated_var")
+    quantities, p_values = [QFI, VARIANCE, MonotoneFunctionSpec("wyd", 0.3)], [-0.0, 0.45]
+    shared, rows = criteria.sweep_rows(fam, m19, -1, quantities, p_values)
+    reports = [evaluate(fam, m19, q, -1, p) for p in p_values for q in quantities]
+    assert len(reports) == len(rows) == len(quantities) * len(p_values)
     for rep, row in zip(reports, rows):
         fields = rep.to_json_dict()
         assert repr([fields[key] for key in shared]) == repr(list(shared.values()))
-        assert repr(tuple(fields[key] for key in row_keys)) == repr(row)  # repr keeps -0.0
-    assert [row[0] for row in rows] == ["qfi", VARIANCE, "wyd:0.5", VARIANCE, "wyd:0.3"]
-    assert [math.copysign(1.0, rep.p) for rep in reports[:2]] == [-1.0, -1.0]
-    assert rows[1][2:4] == rows[3][2:4] == (None, None)
+        assert repr(_report_cells(rep)) == repr(row)  # repr keeps -0.0
+    assert [row[0] for row in rows] == ["qfi", VARIANCE, "wyd:0.3"] * 2
+    assert [math.copysign(1.0, rep.p) for rep in reports[:3]] == [-1.0] * 3
+    assert rows[1][2:4] == rows[4][2:4] == (None, None)
     assert all(type(flag) is bool for row in rows for flag in (row[3], row[5]) if flag is not None)
+    assert list(reports[0].to_json_dict()) == [*criteria.ROW_KEYS, "verdict"]
+
+
+def test_dense_sweep_makes_one_generator_pass(m19, monkeypatch):
+    """A dense sweep over QFI, WYD 1/2 and the variance makes one
+    `generator_terms` pass, and its rows equal, bit for bit, the reports of
+    one `evaluate` per quantity."""
+    rho = materialize_dense(ghz_qudit(3, 4), 0.7)
+    quantities = [QFI, WYD_HALF, VARIANCE]
+    expected = [repr(_report_cells(evaluate(rho, m19, q, -1))) for q in quantities]
+    calls = []
+    real = criteria.generator_terms
+    monkeypatch.setattr(criteria, "generator_terms",
+                        lambda *args: calls.append(1) or real(*args))
+    shared, rows = criteria.sweep_rows(rho, m19, -1, quantities, [None])
+    assert len(calls) == 1
+    assert [repr(row) for row in rows] == expected
+    assert shared["N"] == 4 and [row[1] for row in rows] == [None] * 3
+
+
+def test_evaluate_takes_variance_for_the_variance_criterion(m19):
+    """VARIANCE, like None, asks for the variance criterion alone, on both
+    state kinds: the report is the one None gives, with a null skew LHS and
+    verdict; a string that names no quantity is a ValueError."""
+    fam = ghz_qudit(3, 4)
+    for state, p in ((fam, 0.9), (materialize_dense(fam, 0.9), None)):
+        report = evaluate(state, m19, VARIANCE, -1, p)
+        assert repr(report) == repr(evaluate(state, m19, None, -1, p))
+        assert report.f_label == VARIANCE and report.lhs_skew is report.violated_skew is None
+        with pytest.raises(ValueError, match="unknown quantity"):
+            evaluate(state, m19, "qfi", -1, p)
+
+
+def test_threshold_of_dense_state_is_rejected(m19, monkeypatch):
+    """A dense state carries its own noise, so it has no threshold in p:
+    threshold_p rejects it before any generator pass or bisection."""
+    rho = materialize_dense(ghz_qudit(3, 3), 1.0)
+    monkeypatch.setattr(criteria, "generator_terms", lambda *a: pytest.fail("generator pass"))
+    monkeypatch.setattr(criteria, "_first", lambda *a: pytest.fail("bisection"))
+    for quantity in (QFI, VARIANCE):
+        with pytest.raises(ValueError, match="no mixing weight p"):
+            threshold_p(rho, m19, quantity, 0)
 
 
 def test_dense_evaluate_decomposes_once(m19, monkeypatch):

@@ -11,7 +11,7 @@ from numpy import kron
 from conftest import random_density, random_hermitian, random_pure
 from kstretch import linalg
 from kstretch.basis import gell_mann_basis
-from kstretch.criteria import evaluate, evaluate_sweep, random_kstretchable_density, threshold_p
+from kstretch.criteria import evaluate, random_kstretchable_density, sweep_rows, threshold_p
 from kstretch.infoquant import (
     QFI,
     VARIANCE,
@@ -146,7 +146,7 @@ def test_quantity_kind_needs_no_spec_equality(m14, monkeypatch):
     monkeypatch.setattr(MonotoneFunctionSpec, "__eq__",
                         lambda *args: pytest.fail("spec __eq__ called"))
     fam, moments = ghz_qudit(2, 3), CollectiveMoments(0.5, 4.0)
-    assert evaluate_sweep(fam, m14, 0, [(QFI, 0.9), (WYD_HALF, 0.5), (None, 0.2)])
+    assert sweep_rows(fam, m14, 0, [QFI, WYD_HALF, VARIANCE], [0.9, 0.5, 0.2])[1]
     threshold_p(fam, m14, QFI, 0)
     assert evaluate(materialize_dense(fam, 0.9), m14, WYD_HALF, 0).lhs_skew > 0
     for quantity in ("qfi", "Variance", None):

@@ -103,9 +103,12 @@ def test_conical_design_residual_matches_kron_sum(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_square_sum_scalar_is_alpha_plus_beta_d(d):
+    """alpha + beta d is the square-sum scalar; beta is a plain float, so the
+    criteria's LHS arithmetic runs on Python floats, not numpy scalars."""
     basis = gell_mann_basis(d)
     for s, t in all_families(d):
         m = build_stpovm(basis, s, t)
+        assert type(m.beta) is float
         alpha = s / t - m.beta / d
         assert square_sum_scalar(d, s, t, m.r) == pytest.approx(alpha + m.beta * d, rel=1e-13)
 
