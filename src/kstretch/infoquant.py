@@ -6,8 +6,9 @@ so each left-hand side is beta times the same sum over the d^2 - 1
 collective Gell-Mann generators G_a.  Two paths evaluate it: a dense path
 that applies all G_a site by site to the non-flat eigenvectors of one cached
 spectral split (`DensityMatrix.split`), which the flat level needs only
-through their norms (up to total dimension ~2500; the dense collective
-operators remain as test oracles), and an exact isotropic path for p |psi><psi| + (1-p)/D that needs
+through their norms (a state given by entries up to total dimension ~2500,
+a factor state at any; the dense collective operators remain as test
+oracles), and an exact isotropic path for p |psi><psi| + (1-p)/D that needs
 only the generator moments of |psi>.  The skew information and variance of
 a single observable, the dense forms these sums check against, are test
 oracles."""
@@ -22,7 +23,8 @@ import numpy as np
 from .basis import gell_mann_basis
 from .linalg import DensityMatrix, EIG_ZERO_TOL, check_hermitian, embed_site
 
-DENSE_DIM_LIMIT = 2500
+DENSE_DIM_LIMIT = 2500  # entries states only
+GROUP_ENTRIES = 2**20  # complex entries of one generator group's image: 16 MB
 VARIANCE = "variance"
 
 
@@ -136,14 +138,16 @@ def collective_moments_from_rdms(rho1: DensityMatrix, rho2: DensityMatrix,
 
 def _apply_generators(gens: np.ndarray, n: int, v: np.ndarray) -> np.ndarray:
     """(g_a^(1) + ... + g_a^(n)) v for stacked generators gens (g, d, d) on the
-    columns of v (D, cols): a (g, D, cols) array, one matmul per site."""
+    columns of v (D, cols): a (g, D, cols) array, one GEMM per site with its axis in
+    front, added as a transposed view into the contiguous image (a strided target is slower)."""
     g, d = gens.shape[:2]
     rows = gens.reshape(g * d, d)
-    out = np.zeros((g,) + v.shape, dtype=complex)
-    for i in range(n):
+    out = (rows @ v.reshape(d, v.size // d)).reshape((g,) + v.shape)  # site 0
+    for i in range(1, n):
         rest = v.size // d ** (i + 1)
+        front = v.reshape(d**i, d, rest).transpose(1, 0, 2).reshape(d, d**i * rest)
         site = out.reshape(g, d**i, d, rest)
-        site += (rows @ v.reshape(d**i, d, rest)).reshape(d**i, g, d, rest).swapaxes(0, 1)
+        site += (rows @ front).reshape(g, d, d**i, rest).transpose(0, 2, 1, 3)
     return out
 
 
@@ -164,23 +168,28 @@ def collective_operator(a: np.ndarray, n: int) -> np.ndarray:
 def generator_terms(rho: DensityMatrix, m, skew: bool) -> tuple:
     """(n, rows, B) of one pass of all d^2 - 1 generators over the non-flat v_k
     of `rho.split`: n_k = sum_a ||G_a v_k||^2, rows <v_k|G_a|v_k> and, if
-    `skew`, B = sum_a |V_R^dag G_a V_R|^2.  The generators go in groups of
-    max(1, D // r), so no group's (size, D, r) image exceeds D^2 entries."""
+    `skew`, B = sum_a |V_R^dag G_a V_R|^2.  The generators go in groups whose
+    (size, D, r) image holds at most min(D^2, GROUP_ENTRIES) entries; only an
+    entries state is capped at DENSE_DIM_LIMIT, since a factor never forms D x D."""
     if set(rho.site_dims) != {m.d}:
         raise ValueError(f"site dimensions {rho.site_dims} incompatible with d={m.d}")
-    if rho.dim > DENSE_DIM_LIMIT:
-        raise DenseSizeError(f"dense dimension {rho.dim} exceeds limit {DENSE_DIM_LIMIT}")
+    if rho.factor is None and rho.dim > DENSE_DIM_LIMIT:
+        raise DenseSizeError(f"dense dimension {rho.dim} exceeds limit {DENSE_DIM_LIMIT}; "
+                             "use DensityMatrix.from_factor for larger states")
     v, gens = rho.split[-1], gell_mann_basis(m.d)
     r = v.shape[1]
-    size = max(1, rho.dim // max(r, 1))
+    size = max(1, min(rho.dim**2, GROUP_ENTRIES) // max(v.size, 1))
     norms, rows = np.zeros(r), np.zeros((len(gens), r))
     block = np.zeros((r, r)) if skew else None
     for start in range(0, len(gens), size):
         gv = _apply_generators(gens[start:start + size], rho.n_sites, v)
-        norms += np.sum(np.abs(gv) ** 2, axis=(0, 1))
-        rows[start:start + size] = np.einsum("ik,gik->gk", v.conj(), gv).real
-        if skew:  # one BLAS product per generator
-            block += np.sum(np.abs(np.matmul(v.conj().T, gv)) ** 2, axis=0)
+        re_im = gv.view(float).reshape(*gv.shape, 2)
+        norms += np.einsum("gikc,gikc->k", re_im, re_im)
+        vgv = np.matmul(v.conj().T, gv)  # <v_j|G_a|v_k>, one BLAS product per generator
+        rows[start:start + size] = np.diagonal(vgv, axis1=1, axis2=2).real
+        if skew:
+            block += np.sum(np.abs(vgv) ** 2, axis=0)
+        del gv, re_im, vgv  # freed before the next group's image is built
     return norms, rows, block
 
 

@@ -11,7 +11,8 @@ the bounds from (beta, s/t) with the exact M, the dense LHS from the
 non-flat eigenvectors only, random states as factors, the families'
 generator moments in closed form, the value table by a lexsort and the
 residuals from views; these independent forms check it, and none of them
-runs in the tool."""
+runs in the tool.  The batched generator kernel, one d^i-batch matmul per
+site, is the bit-exact oracle of the tool's one GEMM per site."""
 
 from typing import Sequence
 
@@ -278,6 +279,20 @@ def _apply_collective(a: np.ndarray, n: int, vecs: np.ndarray) -> np.ndarray:
     d = a.shape[0]
     return sum((a @ vecs.reshape(d**i, d, vecs.size // d ** (i + 1))).reshape(vecs.shape)
                for i in range(n))
+
+
+def batched_apply_generators(gens: np.ndarray, n: int, v: np.ndarray) -> np.ndarray:
+    """(g_a^(1) + ... + g_a^(n)) v for stacked generators gens (g, d, d) on the
+    columns of v (D, cols): a (g, D, cols) array, one matmul per site,
+    batched over the d^i leading indices."""
+    g, d = gens.shape[:2]
+    rows = gens.reshape(g * d, d)
+    out = np.zeros((g,) + v.shape, dtype=complex)
+    for i in range(n):
+        rest = v.size // d ** (i + 1)
+        site = out.reshape(g, d**i, d, rest)
+        site += (rows @ v.reshape(d**i, d, rest)).reshape(d**i, g, d, rest).swapaxes(0, 1)
+    return out
 
 
 def full_basis_lhs_dense(rho, m, quantity) -> float:

@@ -9,16 +9,18 @@ from hypothesis import given, settings, strategies as st
 from numpy import kron
 
 from conftest import random_density, random_hermitian, random_pure
-from kstretch import linalg
+from kstretch import infoquant, linalg
 from kstretch.basis import gell_mann_basis
 from kstretch.criteria import evaluate, random_kstretchable_density, sweep_rows, threshold_p
 from kstretch.infoquant import (
+    DENSE_DIM_LIMIT,
     QFI,
     VARIANCE,
     WYD_HALF,
     CollectiveMoments,
     DenseSizeError,
     MonotoneFunctionSpec,
+    _apply_generators,
     collective_moments_from_rdms,
     collective_operator,
     criterion_lhs_dense,
@@ -28,6 +30,7 @@ from kstretch.linalg import DensityMatrix, Spectrum, _spectral_split
 from kstretch.povm import build_stpovm
 from kstretch.states import antisymmetric_state, effect_moments, ghz_qudit, materialize_dense
 from oracles import (
+    batched_apply_generators,
     family_reduced_states,
     full_basis_lhs_dense,
     partial_trace,
@@ -390,3 +393,78 @@ def test_dense_lhs_memory_at_full_rank(m19):
         finally:
             tracemalloc.stop()
         assert peak <= 6 * unit, (quantity, peak / unit)
+
+
+def test_dense_lhs_memory_at_rank_3(m19):
+    """A rank-3 factor state at d=3, N=10 (D = 59049): the generators go five
+    to a group, whose image holds 5 V_R, so one call holds two images and
+    one more copy of V_R (11 V_R) and stays within 12 times V_R's bytes."""
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(3**10, 3)) + 1j * rng.normal(size=(3**10, 3))
+    rho = DensityMatrix.from_factor((3,) * 10, x / np.linalg.norm(x, axis=0), [0.5, 0.3, 0.2])
+    unit = rho.split[-1].nbytes  # the cached split is not part of the call
+    for quantity in (QFI, WYD_HALF, VARIANCE):
+        tracemalloc.start()
+        try:
+            criterion_lhs_dense(rho, m19, quantity)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * unit, (quantity, peak / unit)
+
+
+def test_apply_generators_matches_batched_oracle():
+    """One GEMM per site gives the batched kernel's image bit for bit: all
+    generators and a slice of them, d = 2 and 3, N up to 6, 0, 1 or 3 columns."""
+    rng = np.random.default_rng(28)
+    for d in (2, 3):
+        gens = gell_mann_basis(d)
+        for n in range(1, 7):
+            for r in (0, 1, 3):
+                v = rng.normal(size=(d**n, r)) + 1j * rng.normal(size=(d**n, r))
+                for group in (gens, gens[1:3]):
+                    got = _apply_generators(group, n, v)
+                    assert got.shape == (len(group), d**n, r)
+                    assert np.array_equal(got, batched_apply_generators(group, n, v)), (d, n, r)
+
+
+def _ghz_vector(d: int, n: int) -> np.ndarray:
+    """The d-level GHZ vector on n sites, built here at any size."""
+    vec = np.zeros(d**n, dtype=complex)
+    vec[::(d**n - 1) // (d - 1)] = d**-0.5
+    return vec
+
+
+@pytest.mark.parametrize("d,n", [(3, 8), (2, 12)])
+def test_factor_past_entries_limit_matches_isotropic(m14, m19, d, n):
+    """GHZ under white noise as a rank-1 factor past DENSE_DIM_LIMIT (D = 6561
+    and 4096): the dense evaluate equals the isotropic one within 1e-12 and
+    gives the same verdicts, at p = 0.3, 0.7 and 1."""
+    m, dim, k = (m14 if d == 2 else m19), d**n, 3 - n
+    assert dim > DENSE_DIM_LIMIT
+    family, vec = ghz_qudit(d, n), _ghz_vector(d, n)[:, None]
+    for p in (0.3, 0.7, 1.0):
+        rho = DensityMatrix.from_factor((d,) * n, vec, [p], (1 - p) / dim)
+        for quantity in (QFI, WYD_HALF, MonotoneFunctionSpec("wyd", 0.2), VARIANCE):
+            got, want = evaluate(rho, m, quantity, k), evaluate(family, m, quantity, k, p=p)
+            for lhs in ("lhs_skew", "lhs_var"):
+                a, b = getattr(got, lhs), getattr(want, lhs)
+                assert (a is None and b is None) or abs(a - b) <= 1e-12 * abs(b), (p, quantity, lhs)
+            assert (got.violated_skew, got.violated_var) == (want.violated_skew, want.violated_var)
+
+
+def test_entries_state_past_limit_raises_before_generators(m19, monkeypatch):
+    """With the limit lowered to 80, an entries state at D = 81 is refused
+    before any generator is applied, by an error that names the factor
+    form, while the same state as a factor evaluates."""
+    calls = []
+    real = infoquant._apply_generators
+    monkeypatch.setattr(infoquant, "_apply_generators",
+                        lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(infoquant, "DENSE_DIM_LIMIT", 80)
+    vec = _ghz_vector(3, 4)[:, None]
+    rho = DensityMatrix.from_factor((3,) * 4, vec, [0.6], 0.4 / 81)
+    with pytest.raises(DenseSizeError, match=r"DensityMatrix\.from_factor"):
+        evaluate(DensityMatrix(rho.site_dims, rho.entries), m19, QFI, -1)
+    assert calls == []
+    assert evaluate(rho, m19, QFI, -1).lhs_skew > 0 and calls
