@@ -82,32 +82,27 @@ def _violations(i_bd: float, v_bd: float) -> tuple[Callable[[float], bool], ...]
             lambda lhs, cut=v_bd - VERDICT_MARGIN: bool(lhs < cut))
 
 
-def _state_lhs(state: State, m: SymmetricMeasurement, skew: bool,
-               p_values: Sequence[Optional[float]]) -> tuple[int, Callable]:
-    """(n, lhs): the site count of `state` and lhs(quantity)(p), its LHS at mixing weight p, for
-    a skew quantity only if `skew`.  An IsotropicFamily needs a p in each of `p_values` and
-    reads its moments once; a DensityMatrix, p = None only, makes one generator pass."""
+def _state_lhs(state: State, m: SymmetricMeasurement) -> tuple[int, Callable]:
+    """(n, lhs): the site count of `state` and lhs(quantity)(p), the LHS of
+    p state + (1-p) 1/D.  An IsotropicFamily reads its moments once, a
+    DensityMatrix makes one generator pass."""
     if isinstance(state, IsotropicFamily):
-        if None in p_values:
-            raise ValueError("isotropic evaluation requires a mixing weight p")
         if state.d != m.d:
             raise ValueError(f"state dimension {state.d} != measurement dimension {m.d}")
         moments, beta, d, n = effect_moments(state), m.beta, state.d, state.n
         return n, lambda q: lambda p: criterion_lhs_isotropic(moments, beta, p, d, n, q)
-    if any(p is not None for p in p_values):
-        raise ValueError("a dense state takes no mixing weight p; mix it into the state")
-    terms = generator_terms(state, m, skew)
-    return state.n_sites, lambda q: lambda _: criterion_lhs_dense(state, m, q, terms)
+    terms = generator_terms(state, m)
+    return state.n_sites, lambda q: lambda p: criterion_lhs_dense(state, m, q, terms, p)
 
 
 def sweep_rows(state: State, m: SymmetricMeasurement, k: int, quantities: Sequence[Quantity],
                p_values: Sequence[Optional[float]]) -> tuple[dict, list[tuple]]:
-    """Both inequalities on `state` at each p of `p_values` ([None] for a dense state) for each
-    quantity (a MonotoneFunctionSpec or VARIANCE): the fields all rows share, keyed as in
-    ROW_KEYS, and per (p, quantity), p-major, the row (f label, p, lhs_skew, violated_skew,
-    lhs_var, violated_var), from one variance LHS per p; a VARIANCE row has no skew cells."""
+    """Both inequalities on p state + (1-p) 1/D at each p of `p_values` (None: p = 1) for
+    each quantity (a MonotoneFunctionSpec or VARIANCE): the fields all rows share, keyed as
+    in ROW_KEYS, and per (p, quantity), p-major, the row (f label, p as given, lhs_skew,
+    violated_skew, lhs_var, violated_var), one variance LHS per p; VARIANCE has no skew cells."""
     skews = [is_skew(quantity) for quantity in quantities]
-    n, lhs = _state_lhs(state, m, any(skews), p_values)
+    n, lhs = _state_lhs(state, m)
     i_bd, v_bd = _bounds(m, n, k)
     shared = dict(N=n, k=k, d=m.d, s=m.s, t=m.t, r=m.r, i_bound=i_bd, v_bound=v_bd)
     skew_violated, var_violated = _violations(i_bd, v_bd)
@@ -116,41 +111,43 @@ def sweep_rows(state: State, m: SymmetricMeasurement, k: int, quantities: Sequen
     lhs_var_at = lhs(VARIANCE)
     rows = []
     for p in p_values:
-        lhs_var = lhs_var_at(p)
+        at = 1.0 if p is None else p
+        lhs_var = lhs_var_at(at)
         var_cells = (lhs_var, var_violated(lhs_var))
         for label, lhs_skew_at in columns:
             if lhs_skew_at is None:
                 rows.append((label, p, None, None, *var_cells))
             else:
-                lhs_skew = lhs_skew_at(p)
+                lhs_skew = lhs_skew_at(at)
                 rows.append((label, p, lhs_skew, skew_violated(lhs_skew), *var_cells))
     return shared, rows
 
 
 def evaluate(state: State, m: SymmetricMeasurement, f_spec: Optional[Quantity], k: int,
              p: Optional[float] = None) -> CriterionReport:
-    """Evaluate both inequalities; f_spec = None or VARIANCE skips the skew criterion.
-    A dense DensityMatrix takes no p, an IsotropicFamily a mixing weight p (exact)."""
+    """Evaluate both inequalities on p state + (1-p) 1/D, p = None the state itself;
+    f_spec = None or VARIANCE skips the skew criterion."""
     quantity = VARIANCE if f_spec is None else f_spec
     shared, [(f, p, skew, vs, var, vv)] = sweep_rows(state, m, k, [quantity], [p])
     n, k, d, s, t, r, i_bd, v_bd = shared.values()
     return CriterionReport(n, k, d, s, t, r, f, skew, var, i_bd, v_bd, vs, vv, p)
 
 
-def threshold_p(family: IsotropicFamily, m: SymmetricMeasurement,
+def threshold_p(family: State, m: SymmetricMeasurement,
                 quantity: Quantity, k: int) -> Optional[float]:
-    """The noise threshold: the least float p in [0,1] at which `evaluate`
-    reports the chosen inequality violated, or None if p = 1 is not; quantity
-    is a MonotoneFunctionSpec (skew inequality) or VARIANCE.
+    """The noise threshold of a state read as p rho + (1-p)/D: the least float p in
+    [0,1] at which `evaluate` reports the chosen inequality violated, or None if
+    p = 1 is not; quantity is a MonotoneFunctionSpec (skew inequality) or VARIANCE.
 
-    One bisection on [0, 1] finds it.  At p = 0 the state is 1/D, which no
-    verdict calls k-nonstretchable: its skew LHS is 0 < bound_i, and its
-    variance LHS beta (d^2-1) N/d exceeds bound_v = beta[(d+1)N - 2M], at most
-    beta (d-1) N, by beta N (1-1/d) or more.  The skew LHS rises with p and the
-    variance LHS is concave, so the violating p are one interval [p*, 1].
-    """
+    One bisection on [0, 1] finds it, for any rho.  At p = 0 the state is 1/D,
+    which no verdict calls k-nonstretchable: its skew LHS is 0 < bound_i, and
+    its variance LHS beta (d^2-1) N/d exceeds bound_v = beta[(d+1)N - 2M], at
+    most beta (d-1) N, by beta N (1-1/d) or more.  The skew sum S is convex in
+    the state and 0 at p = 0, so S(p) <= (p/p') S(p') for p < p': it never falls.
+    Each Tr rho(p) G_a is affine in p, so the variance sum is a concave quadratic.
+    Either way the violating p are one interval [p*, 1]."""
     skew = is_skew(quantity)
-    n, lhs = _state_lhs(family, m, skew, [1.0])
+    n, lhs = _state_lhs(family, m)
     violates, lhs_at = _violations(*_bounds(m, n, k))[0 if skew else 1], lhs(quantity)
 
     def violated(p: float) -> bool:

@@ -3,13 +3,13 @@ sides of the detection inequalities.
 
 Every (s,t)-POVM is a conical 2-design, sum_uv A (x) A = alpha 1 + beta SWAP,
 so each left-hand side is beta times the same sum over the d^2 - 1
-collective Gell-Mann generators G_a.  Two paths evaluate it: a dense path
-that applies all G_a site by site to the non-flat eigenvectors of one cached
-spectral split (`DensityMatrix.split`), which the flat level needs only
-through their norms (a state given by entries up to total dimension ~2500,
-a factor state at any; the dense collective operators remain as test
-oracles), and an exact isotropic path for p |psi><psi| + (1-p)/D that needs
-only the generator moments of |psi>.  The skew information and variance of
+collective Gell-Mann generators G_a.  Both paths read a state under white
+noise, p rho + (1-p)/D: a dense path that applies all G_a site by site to
+the non-flat eigenvectors of one cached spectral split (`DensityMatrix.split`),
+which the flat level needs only through their norms and which p only
+reweights (the dense collective operators remain as test oracles), and an
+exact isotropic path for p |psi><psi| + (1-p)/D that needs only the
+generator moments of |psi>.  The skew information and variance of
 a single observable, the dense forms these sums check against, are test
 oracles."""
 
@@ -21,15 +21,11 @@ from functools import cached_property
 import numpy as np
 
 from .basis import gell_mann_basis
-from .linalg import DensityMatrix, EIG_ZERO_TOL, check_hermitian, embed_site
+from .linalg import DENSE_DIM_LIMIT, EIG_ZERO_TOL, DenseSizeError, DensityMatrix, \
+    check_hermitian, embed_site
 
-DENSE_DIM_LIMIT = 2500  # entries states only
 GROUP_ENTRIES = 2**20  # complex entries of one generator group's image: 16 MB
 VARIANCE = "variance"
-
-
-class DenseSizeError(ValueError):
-    """Raised when a dense collective operator would exceed the size limit."""
 
 
 @dataclass(frozen=True)
@@ -165,48 +161,47 @@ def collective_operator(a: np.ndarray, n: int) -> np.ndarray:
     return sum(embed_site(a, i, dims) for i in range(n))
 
 
-def generator_terms(rho: DensityMatrix, m, skew: bool) -> tuple:
+def generator_terms(rho: DensityMatrix, m) -> tuple:
     """(n, rows, B) of one pass of all d^2 - 1 generators over the non-flat v_k
-    of `rho.split`: n_k = sum_a ||G_a v_k||^2, rows <v_k|G_a|v_k> and, if
-    `skew`, B = sum_a |V_R^dag G_a V_R|^2.  The generators go in groups whose
-    (size, D, r) image holds at most min(D^2, GROUP_ENTRIES) entries; only an
-    entries state is capped at DENSE_DIM_LIMIT, since a factor never forms D x D."""
+    of `rho.split`: n_k = sum_a ||G_a v_k||^2, rows <v_k|G_a|v_k> and the r x r
+    B = sum_a |V_R^dag G_a V_R|^2.  The generators go in groups whose (size, D, r)
+    image holds at most min(D^2, GROUP_ENTRIES) entries."""
     if set(rho.site_dims) != {m.d}:
         raise ValueError(f"site dimensions {rho.site_dims} incompatible with d={m.d}")
-    if rho.factor is None and rho.dim > DENSE_DIM_LIMIT:
-        raise DenseSizeError(f"dense dimension {rho.dim} exceeds limit {DENSE_DIM_LIMIT}; "
-                             "use DensityMatrix.from_factor for larger states")
     v, gens = rho.split[-1], gell_mann_basis(m.d)
     r = v.shape[1]
     size = max(1, min(rho.dim**2, GROUP_ENTRIES) // max(v.size, 1))
-    norms, rows = np.zeros(r), np.zeros((len(gens), r))
-    block = np.zeros((r, r)) if skew else None
+    norms, rows, block = np.zeros(r), np.zeros((len(gens), r)), np.zeros((r, r))
     for start in range(0, len(gens), size):
         gv = _apply_generators(gens[start:start + size], rho.n_sites, v)
         re_im = gv.view(float).reshape(*gv.shape, 2)
         norms += np.einsum("gikc,gikc->k", re_im, re_im)
         vgv = np.matmul(v.conj().T, gv)  # <v_j|G_a|v_k>, one BLAS product per generator
         rows[start:start + size] = np.diagonal(vgv, axis1=1, axis2=2).real
-        if skew:
-            block += np.sum(np.abs(vgv) ** 2, axis=0)
+        block += np.sum(np.abs(vgv) ** 2, axis=0)
         del gv, re_im, vgv  # freed before the next group's image is built
     return norms, rows, block
 
 
-def criterion_lhs_dense(rho: DensityMatrix, m, quantity, terms: tuple | None = None) -> float:
+def criterion_lhs_dense(rho: DensityMatrix, m, quantity, terms: tuple | None = None,
+                        p: float = 1.0) -> float:
     """Sum over all effects of the chosen quantity (a MonotoneFunctionSpec
-    or VARIANCE) for the collective effects, as beta times the sum over the
-    collective generators G_a (the alpha part of the design meets only equal
-    eigenvalues, which weigh 0).  Of the cached split rho = c 1 + sum_R
-    (lam_k - c) |v_k><v_k| only the r non-flat v_k are read, through their
-    `generator_terms`; passing these in lets several quantities share one
-    pass.  The flat part of each norm is n_k - sum_j B_jk, so the skew sum is
-    sum W_RR o B + 2 sum_k w(lam_k, b) (n_k - sum_j B_jk), b the flat level of
-    the weights; the variance uses Tr rho G^j = c Tr G^j + sum_R (lam_k - c)
-    <v_k|G^j|v_k>, Tr G = 0, Tr G^2 = n D / d."""
+    or VARIANCE) for the collective effects on p rho + (1-p)/D, as beta times
+    the sum over the collective generators G_a (the alpha part of the design
+    meets only equal eigenvalues, which weigh 0).  Of the cached split rho = c 1
+    + sum_R (lam_k - c) |v_k><v_k| only the r non-flat v_k are read, through their
+    `generator_terms`, which several quantities and every p can share: the noise
+    maps each level x to p x + (1-p)/D.  The flat part of each norm is n_k - sum_j
+    B_jk, so the skew sum is sum W_RR o B + 2 sum_k w(lam_k, b) (n_k - sum_j B_jk),
+    b the flat level of the weights; the variance uses Tr rho G^j = c Tr G^j +
+    sum_R (lam_k - c) <v_k|G^j|v_k>, Tr G = 0, Tr G^2 = n D / d."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     skew = is_skew(quantity)
-    norms, rows, block = terms or generator_terms(rho, m, skew)
+    norms, rows, block = terms or generator_terms(rho, m)
     lam_r, c, b, _ = rho.split
+    e = (1 - p) / rho.dim
+    lam_r, c, b = p * lam_r + e, p * c + e, p * b + e
     if not skew:
         shift = lam_r - c
         second = len(rows) * c * rho.dim * rho.n_sites / m.d + shift @ norms

@@ -19,6 +19,11 @@ TRACE_TOL = 1e-10
 PSD_SLACK = 1e-9
 # eigenvalues below this are treated as exactly zero in spectral formulas
 EIG_ZERO_TOL = 1e-12
+DENSE_DIM_LIMIT = 2500  # D of a state given by entries, and of the dense test oracles
+
+
+class DenseSizeError(ValueError):
+    """Raised when a dense matrix would exceed the size limit."""
 
 
 def check_hermitian(a: np.ndarray) -> np.ndarray:
@@ -36,9 +41,10 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Unit-trace PSD Hermitian operator on a tensor-product space: entries, checked
-    Hermitian and PSD by the one eigendecomposition kept as `spectrum`, or (`from_factor`)
-    noise 1 + Y Y^dag, both read-only, so `spectrum` and `split` cannot go stale."""
+    """Unit-trace PSD Hermitian operator on a tensor-product space: entries (D at most
+    DENSE_DIM_LIMIT), checked Hermitian and PSD by the one eigendecomposition kept as `spectrum`,
+    or (`from_factor`) noise 1 + Y Y^dag, both read-only, so `spectrum` and `split` cannot go
+    stale.  Past `split`, nothing asks which of the two a state is."""
 
     site_dims: tuple[int, ...]
     matrix: Optional[np.ndarray] = field(default=None, repr=False)
@@ -63,6 +69,9 @@ class DensityMatrix:
         dim = math.prod(dims)
         if self.factor is None:
             entries = np.asarray(self.matrix, dtype=complex)
+            if entries.size > DENSE_DIM_LIMIT**2:  # before the O(D^3) decomposition
+                raise DenseSizeError(f"entries {entries.shape} exceed D = {DENSE_DIM_LIMIT}"
+                                     "; use DensityMatrix.from_factor for larger states")
             spectrum = hermitian_eig(entries)  # checks square and Hermitian
             if entries.shape != (dim, dim):
                 raise ValueError(f"entries shape {entries.shape} does not match site dims {dims}")

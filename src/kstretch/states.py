@@ -21,9 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .basis import gell_mann_basis
-from .infoquant import DENSE_DIM_LIMIT, CollectiveMoments, DenseSizeError, \
-    _apply_generators
-from .linalg import DensityMatrix
+from .infoquant import CollectiveMoments, _apply_generators
+from .linalg import DENSE_DIM_LIMIT, DenseSizeError, DensityMatrix
 from .povm import json_floats
 
 

@@ -123,18 +123,62 @@ def test_evaluate_fast_and_dense_agree(m19):
     assert fast.verdict == dense.verdict
 
 
-def test_evaluate_requires_p_for_family(m19):
-    with pytest.raises(ValueError):
-        evaluate(ghz_qudit(3, 3), m19, QFI, k=0)
+def _mixed(rho, p):
+    """p rho + (1-p) 1/D built explicitly, in the representation rho has."""
+    e = (1 - p) / rho.dim
+    if rho.factor is None:
+        return DensityMatrix(rho.site_dims, p * rho.entries + e * np.eye(rho.dim))
+    return DensityMatrix.from_factor(rho.site_dims, rho.factor, [p] * rho.factor.shape[1],
+                                     p * rho.noise + e)
 
 
-def test_evaluate_rejects_p_for_dense_state(m19):
-    """A dense state carries its own noise: a p would be reported but not
-    applied (GHZ at p=1 reported as p=0.3 and k-nonstretchable)."""
+def test_evaluate_mixes_white_noise_into_any_state(m14, m19):
+    """evaluate(rho, m, q, k, p) is evaluate of the state p rho + (1-p) 1/D,
+    built explicitly, within 1e-12 and with the same verdicts: factor states
+    of rank 1 to 3 with and without noise, and states given by entries (full
+    rank, GHZ, maximally mixed)."""
+    rng = np.random.default_rng(30)
+    states = [random_kstretchable_density(rng, 3, 4, -1), random_kstretchable_density(rng, 2, 5, 0),
+              materialize_dense(ghz_qudit(3, 4), 0.8),
+              DensityMatrix((3,) * 3, random_density(rng, 27)),
+              DensityMatrix((2,) * 4, materialize_dense(ghz_qudit(2, 4), 1.0).entries),
+              DensityMatrix((2,) * 3, np.eye(8) / 8)]
+    quantities = (QFI, WYD_HALF, MonotoneFunctionSpec("wyd", 0.2), VARIANCE)
+    for rho in states:
+        m, k = (m14 if rho.site_dims[0] == 2 else m19), 3 - rho.n_sites
+        for p in (0.0, 0.25, 0.6, 0.95):
+            mixed = _mixed(rho, p)
+            for quantity in quantities:
+                got, want = evaluate(rho, m, quantity, k, p), evaluate(mixed, m, quantity, k)
+                for lhs in ("lhs_skew", "lhs_var"):
+                    a, b = getattr(got, lhs), getattr(want, lhs)
+                    assert (a is None and b is None) or abs(a - b) <= 1e-12 * max(1.0, abs(b)), \
+                        (rho.site_dims, p, getattr(quantity, "label", quantity), lhs)
+                assert (got.violated_skew, got.violated_var) == (want.violated_skew,
+                                                                 want.violated_var)
+                assert got.p == p and want.p is None
+
+
+def test_p_none_is_the_state_itself(m19):
+    """p = None and p = 1.0 give bit-identical LHS on an isotropic family and
+    on a dense state, and each report keeps its p as given."""
+    fam = ghz_qudit(3, 4)
+    for state in (fam, materialize_dense(fam, 0.7),
+                  DensityMatrix((3,) * 4, materialize_dense(fam, 0.7).entries)):
+        for quantity in (QFI, WYD_HALF, VARIANCE):
+            none, one = evaluate(state, m19, quantity, -1), evaluate(state, m19, quantity, -1, 1.0)
+            assert repr((none.lhs_skew, none.lhs_var)) == repr((one.lhs_skew, one.lhs_var))
+            assert none.verdict == one.verdict and none.p is None and one.p == 1.0
+
+
+def test_dense_lhs_rejects_p_outside_unit_interval(m19):
+    """The dense LHS checks p as the isotropic one does."""
     rho = materialize_dense(ghz_qudit(3, 3), 1.0)
-    with pytest.raises(ValueError, match="no mixing weight p"):
-        evaluate(rho, m19, QFI, k=0, p=0.3)
-    assert evaluate(rho, m19, QFI, k=0).p is None
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            criterion_lhs_dense(rho, m19, QFI, p=p)
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            evaluate(rho, m19, VARIANCE, 0, p)
 
 
 def test_evaluate_dimension_mismatch(m19):
@@ -232,15 +276,46 @@ def test_evaluate_takes_variance_for_the_variance_criterion(m19):
             evaluate(state, m19, "qfi", -1, p)
 
 
-def test_threshold_of_dense_state_is_rejected(m19, monkeypatch):
-    """A dense state carries its own noise, so it has no threshold in p:
-    threshold_p rejects it before any generator pass or bisection."""
-    rho = materialize_dense(ghz_qudit(3, 3), 1.0)
-    monkeypatch.setattr(criteria, "generator_terms", lambda *a: pytest.fail("generator pass"))
-    monkeypatch.setattr(criteria, "_first", lambda *a: pytest.fail("bisection"))
-    for quantity in (QFI, VARIANCE):
-        with pytest.raises(ValueError, match="no mixing weight p"):
-            threshold_p(rho, m19, quantity, 0)
+def _within_ulps(a, b, ulps):
+    return (a is None and b is None) or (a is not None and b is not None
+                                         and abs(a - b) <= ulps * math.ulp(max(a, b)))
+
+
+def test_dense_threshold_matches_isotropic(m14, m19):
+    """threshold_p takes a dense state: rank-1 GHZ factors (d = 2, 3, N <= 6)
+    and the antisymmetric N = 3 state, at noise 0, have the thresholds of
+    their isotropic families within 8 ulps, with the same None pattern, at
+    every k in [1-N, N-1] for QFI, WYD 1/2, WYD 0.2 and the variance."""
+    quantities = (QFI, WYD_HALF, MonotoneFunctionSpec("wyd", 0.2), VARIANCE)
+    families = [ghz_qudit(d, n) for d in (2, 3) for n in range(2, 7)] + [antisymmetric_state(3)]
+    found = 0
+    for family in families:
+        m, rho = (m14 if family.d == 2 else m19), materialize_dense(family, 1.0)
+        for k in range(1 - family.n, family.n):
+            for quantity in quantities:
+                dense, iso = threshold_p(rho, m, quantity, k), threshold_p(family, m, quantity, k)
+                assert _within_ulps(dense, iso, 8), (family.kind, family.d, family.n, k, quantity,
+                                                     dense, iso)
+                found += dense is not None
+    assert found  # some p* is a float, so the bisection itself is compared
+
+
+def test_dense_thresholds_of_kstretchable_states_are_none():
+    """The 200 k-stretchable states of the acceptance soundness sweep (same
+    seed and configurations) have no threshold: no p in [0, 1] makes
+    p rho + (1-p)/D violate a QFI, WYD 1/2 or variance bound."""
+    rng = np.random.default_rng(8451)
+    configs = [(2, 3, 0), (2, 3, 1), (2, 4, 0), (2, 4, -1),
+               (3, 3, 0), (3, 3, 1), (3, 4, -1), (2, 5, 0)]
+    measurements = {d: build_stpovm(gell_mann_basis(d), 1, d * d) for d in (2, 3)}
+    hits = []
+    for i in range(200):
+        d, n, k = configs[i % len(configs)]
+        rho = random_kstretchable_density(rng, d, n, k)
+        for quantity in (QFI, WYD_HALF, VARIANCE):
+            if threshold_p(rho, measurements[d], quantity, k) is not None:
+                hits.append((i, quantity))
+    assert not hits
 
 
 def test_dense_evaluate_decomposes_once(m19, monkeypatch):

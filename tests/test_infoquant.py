@@ -454,17 +454,21 @@ def test_factor_past_entries_limit_matches_isotropic(m14, m19, d, n):
 
 
 def test_entries_state_past_limit_raises_before_generators(m19, monkeypatch):
-    """With the limit lowered to 80, an entries state at D = 81 is refused
-    before any generator is applied, by an error that names the factor
-    form, while the same state as a factor evaluates."""
-    calls = []
-    real = infoquant._apply_generators
+    """With the limit lowered to 80, an entries state at D = 81 is refused at
+    construction, before its eigendecomposition and any generator, by an
+    error that names the factor form, while the same state as a factor
+    evaluates; the constant and the error still resolve in infoquant."""
+    eigs, gens = [], []
+    real_eig, real_apply = linalg.hermitian_eig, infoquant._apply_generators
+    monkeypatch.setattr(linalg, "hermitian_eig", lambda h: eigs.append(1) or real_eig(h))
     monkeypatch.setattr(infoquant, "_apply_generators",
-                        lambda *args: calls.append(1) or real(*args))
-    monkeypatch.setattr(infoquant, "DENSE_DIM_LIMIT", 80)
+                        lambda *args: gens.append(1) or real_apply(*args))
+    monkeypatch.setattr(linalg, "DENSE_DIM_LIMIT", 80)
     vec = _ghz_vector(3, 4)[:, None]
     rho = DensityMatrix.from_factor((3,) * 4, vec, [0.6], 0.4 / 81)
     with pytest.raises(DenseSizeError, match=r"DensityMatrix\.from_factor"):
-        evaluate(DensityMatrix(rho.site_dims, rho.entries), m19, QFI, -1)
-    assert calls == []
-    assert evaluate(rho, m19, QFI, -1).lhs_skew > 0 and calls
+        DensityMatrix(rho.site_dims, rho.entries)
+    assert eigs == [] and gens == []
+    assert evaluate(rho, m19, QFI, -1).lhs_skew > 0 and gens
+    assert infoquant.DenseSizeError is linalg.DenseSizeError
+    assert infoquant.DENSE_DIM_LIMIT == DENSE_DIM_LIMIT == 2500

@@ -168,6 +168,18 @@ def test_every_package_definition_has_a_caller():
     assert not callerless, f"no caller in src/ or perfbench: {callerless}"
 
 
+def test_only_linalg_reads_a_state_representation():
+    """No module of src/kstretch but linalg reads a state's `.factor` or
+    `.matrix`: past construction and `split`, a state built from entries and
+    a factor state take one path."""
+    readers = sorted(
+        f"{path.stem}:{node.lineno}" for path in PACKAGE.glob("*.py") if path.stem != "linalg"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("factor", "matrix")
+        and getattr(_attribute_root(node), "id", None) not in ("np", "numpy"))
+    assert not readers, f"reads of a state representation outside linalg: {readers}"
+
+
 def test_benchmark_workloads_call_bounds():
     """perfbench/workloads.py builds measurements and calls BoundInputs,
     bound_i and bound_v itself, so a change to that API breaks the benchmark;
