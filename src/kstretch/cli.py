@@ -134,16 +134,17 @@ def _build_measurement(d: int, s: int, t: int, r: str):
 
 
 def _family(name: str, d: int, n: int, state_file: Optional[str]):
+    """(state, d): ghz takes --d, antisym d = N, and a file its own site dimension."""
     if name == "ghz":
-        return ghz_qudit(d, n)
+        return ghz_qudit(d, n), d
     if name == "antisym":
-        return antisymmetric_state(n)
+        return antisymmetric_state(n), n
     if state_file is None:  # click.Choice leaves only "file"
         raise click.BadParameter("--state-file is required for --family file")
-    fam = load_state_file(state_file)
-    if fam.n != n:
-        raise ValueError(f"--n {n} differs from the {fam.n} sites of {state_file}")
-    return fam
+    state = load_state_file(state_file)
+    if state.n_sites != n:
+        raise ValueError(f"--n {n} differs from the {state.n_sites} sites of {state_file}")
+    return state, state.site_dims[0]
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -254,9 +255,9 @@ def cmd_criteria(ctx, family, state_file, d, n, k, s, t, r, p, p_range, f_choice
     try:
         p_values = _p_values(p, p_range)
         quantities = parse_f(f_choice)
-        fam = _family(family, d, n, state_file)
-        m = _build_measurement(fam.d, s, t, r)
-        shared, rows = sweep_rows(fam, m, k, quantities, p_values)
+        state, state_d = _family(family, d, n, state_file)
+        m = _build_measurement(state_d, s, t, r)
+        shared, rows = sweep_rows(state, m, k, quantities, p_values)
     except ValueError as exc:
         _fail(exc)
     writer = _criteria_json if out_format == "json" else _criteria_csv
@@ -281,15 +282,14 @@ def cmd_threshold(ctx, family, state_file, d, n, k, s, t, r, f_choice, out_forma
     rows = []
     try:
         quantities = parse_f(f_choice)
-        families = [_family(family, d, n_val, state_file) for n_val in sorted(n)]
-        # one d for all: ghz takes --d, a file its own, antisym its single N
-        m = _build_measurement(families[0].d, s, t, r)
-        for n_val, fam in zip(sorted(n), families):
+        states = [_family(family, d, n_val, state_file) for n_val in sorted(n)]
+        m = _build_measurement(states[0][1], s, t, r)  # antisym has one N, so one d
+        for n_val, (state, _) in zip(sorted(n), states):
             k_val = k if k is not None else 3 - n_val
             for quantity in quantities:
                 label, criterion = ((quantity.label, "skew") if is_skew(quantity)
                                     else (VARIANCE, "variance"))
-                p_star = threshold_p(fam, m, quantity, k_val)
+                p_star = threshold_p(state, m, quantity, k_val)
                 rows.append((n_val, k_val, label, criterion, p_star))
     except ValueError as exc:
         _fail(exc)

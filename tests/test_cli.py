@@ -9,13 +9,14 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
+from conftest import random_pure
 from kstretch import cli, criteria, povm
 from kstretch.basis import gell_mann_basis
 from kstretch.cli import CSV_HEADER, fmt, main
 from kstretch.criteria import CriterionReport, evaluate, threshold_p
 from kstretch.infoquant import QFI, VARIANCE, WYD_HALF, MonotoneFunctionSpec
 from kstretch.povm import SymmetricMeasurement, build_stpovm
-from kstretch.states import ghz_qudit
+from kstretch.states import ghz_qudit, state_vector
 
 
 @pytest.fixture
@@ -527,6 +528,42 @@ def test_state_file_n_must_match_its_sites(runner, tmp_path, command, n_flags):
     bad_n = n_flags[1] if command == "criteria" else "5"
     assert result.output == f"error: --n {bad_n} differs from the 4 sites of {state}\n"
     assert isinstance(result.exception, SystemExit)  # no traceback
+
+
+def _pure_state_file(path, d: int, n: int, vec) -> str:
+    path.write_text(json.dumps({"site_dims": [d] * n,
+                                "amplitudes": [[z.real, z.imag] for z in vec]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (2, 6), (3, 3), (3, 5)])
+def test_ghz_state_file_thresholds_match_family(runner, tmp_path, d, n):
+    """A GHZ state file, which the dense path reads as a rank-1 factor state,
+    gives the `threshold --f all` rows of --family ghz, whose closed-form
+    moments take the isotropic path, byte for byte at every k."""
+    state = _pure_state_file(tmp_path / "ghz.json", d, n, state_vector(ghz_qudit(d, n)))
+    measurement = ["--n", str(n), "--s", "1", "--t", str(d * d)]
+    for k in range(1 - n, n):
+        rows = [runner.invoke(main, ["threshold", *family, *measurement, "--k", str(k)])
+                for family in (["--family", "ghz", "--d", str(d)],
+                               ["--family", "file", "--state-file", state])]
+        assert [r.exit_code for r in rows] == [0, 0], [r.output for r in rows]
+        closed_form, dense = (r.output.split("\n", 1)[1] for r in rows)
+        assert dense == closed_form and closed_form.count("\n") == 4, k
+
+
+@pytest.mark.parametrize("d,n", [(3, 8), (2, 14)])
+def test_pure_state_file_past_entries_limit(runner, tmp_path, rng, d, n):
+    """Pure files at D = 3^8 and 2^14, past the D <= 2500 of a state given by
+    entries, run criteria and threshold."""
+    state = _pure_state_file(tmp_path / "psi.json", d, n, random_pure(rng, d**n))
+    base = ["--family", "file", "--state-file", state, "--n", str(n),
+            "--s", "1", "--t", str(d * d)]
+    for args, lines in ((["criteria", *base, "--k", str(3 - n), "--p-range", "0:1:3"], 11),
+                        (["threshold", *base], 5)):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.output.count("\n") == lines, result.output
 
 
 def test_criteria_k_below_one_minus_n_fails_cleanly(runner):

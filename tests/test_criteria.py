@@ -1,6 +1,7 @@
 """Verdicts, thresholds, auxiliary bound checks, random state generation."""
 
 import functools
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from oracles import (
     block_probability_bounds,
     dense_kstretchable_entries,
 )
-from kstretch import criteria, infoquant, linalg, partitions, states
+from kstretch import criteria, infoquant, linalg, partitions
 from kstretch.basis import gell_mann_basis
 from kstretch.criteria import (
     VERDICT_MARGIN,
@@ -35,9 +36,9 @@ from kstretch.partitions import BoundInputs, bound_i, bound_v, max_sum_squares
 from kstretch.povm import build_stpovm
 from kstretch.states import (
     antisymmetric_state,
-    custom_state,
     effect_moments,
     ghz_qudit,
+    load_state_file,
     materialize_dense,
 )
 
@@ -587,30 +588,27 @@ def test_threshold_is_least_violated_float(case):
 
 
 def test_threshold_computes_moments_once_per_family(m19, monkeypatch):
-    """A custom family applies the generators once, at construction, over
-    three thresholds; GHZ states its moments and never applies them."""
+    """GHZ states its moments: three thresholds apply no generator."""
     calls = []
-    real = states._apply_generators
-    monkeypatch.setattr(states, "_apply_generators",
+    real = infoquant._apply_generators
+    monkeypatch.setattr(infoquant, "_apply_generators",
                         lambda *args: calls.append(1) or real(*args))
-    vec = np.zeros(27)
-    vec[[0, 13, 26]] = 3 ** -0.5
-    for family, expected in ((custom_state([3, 3, 3], vec), 1), (ghz_qudit(3, 10), 0)):
-        for quantity in (QFI, WYD_HALF, VARIANCE):
-            threshold_p(family, m19, quantity, 3 - family.n)
-        assert len(calls) == expected
-        calls.clear()
+    family = ghz_qudit(3, 10)
+    for quantity in (QFI, WYD_HALF, VARIANCE):
+        threshold_p(family, m19, quantity, 3 - family.n)
+    assert calls == []
 
 
-def test_custom_amplitudes_are_a_frozen_copy():
-    """The moments a custom family caches cannot go stale: it keeps a
-    read-only copy of the caller's amplitudes."""
-    vec = np.eye(8, dtype=complex)[0]
-    family = custom_state([2, 2, 2], vec)
-    vec[[0, 7]] = 2 ** -0.5
-    assert np.array_equal(family.amplitudes, np.eye(8)[0])
+def test_custom_amplitudes_are_a_frozen_copy(tmp_path):
+    """The split a loaded state caches cannot go stale: its factor is a
+    read-only array of the file's amplitudes."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"site_dims": [2, 2, 2],
+                                "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 7}))
+    rho = load_state_file(path)
+    assert np.array_equal(rho.factor[:, 0], np.eye(8)[0])
     with pytest.raises(ValueError):
-        family.amplitudes[0] = 0.0
+        rho.factor[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("d,s,t", [(2, 1, 4), (3, 1, 9)])

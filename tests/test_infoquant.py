@@ -28,7 +28,8 @@ from kstretch.infoquant import (
 )
 from kstretch.linalg import DensityMatrix, Spectrum, _spectral_split
 from kstretch.povm import build_stpovm
-from kstretch.states import antisymmetric_state, effect_moments, ghz_qudit, materialize_dense
+from kstretch.states import antisymmetric_state, effect_moments, ghz_qudit, materialize_dense, \
+    state_vector
 from oracles import (
     batched_apply_generators,
     family_reduced_states,
@@ -428,13 +429,6 @@ def test_apply_generators_matches_batched_oracle():
                     assert np.array_equal(got, batched_apply_generators(group, n, v)), (d, n, r)
 
 
-def _ghz_vector(d: int, n: int) -> np.ndarray:
-    """The d-level GHZ vector on n sites, built here at any size."""
-    vec = np.zeros(d**n, dtype=complex)
-    vec[::(d**n - 1) // (d - 1)] = d**-0.5
-    return vec
-
-
 @pytest.mark.parametrize("d,n", [(3, 8), (2, 12)])
 def test_factor_past_entries_limit_matches_isotropic(m14, m19, d, n):
     """GHZ under white noise as a rank-1 factor past DENSE_DIM_LIMIT (D = 6561
@@ -442,7 +436,8 @@ def test_factor_past_entries_limit_matches_isotropic(m14, m19, d, n):
     gives the same verdicts, at p = 0.3, 0.7 and 1."""
     m, dim, k = (m14 if d == 2 else m19), d**n, 3 - n
     assert dim > DENSE_DIM_LIMIT
-    family, vec = ghz_qudit(d, n), _ghz_vector(d, n)[:, None]
+    family = ghz_qudit(d, n)
+    vec = state_vector(family)[:, None]
     for p in (0.3, 0.7, 1.0):
         rho = DensityMatrix.from_factor((d,) * n, vec, [p], (1 - p) / dim)
         for quantity in (QFI, WYD_HALF, MonotoneFunctionSpec("wyd", 0.2), VARIANCE):
@@ -464,7 +459,7 @@ def test_entries_state_past_limit_raises_before_generators(m19, monkeypatch):
     monkeypatch.setattr(infoquant, "_apply_generators",
                         lambda *args: gens.append(1) or real_apply(*args))
     monkeypatch.setattr(linalg, "DENSE_DIM_LIMIT", 80)
-    vec = _ghz_vector(3, 4)[:, None]
+    vec = state_vector(ghz_qudit(3, 4))[:, None]
     rho = DensityMatrix.from_factor((3,) * 4, vec, [0.6], 0.4 / 81)
     with pytest.raises(DenseSizeError, match=r"DensityMatrix\.from_factor"):
         DensityMatrix(rho.site_dims, rho.entries)

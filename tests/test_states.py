@@ -10,10 +10,13 @@ import pytest
 
 from conftest import random_pure
 from oracles import family_reduced_states, partial_trace
-from kstretch.infoquant import DenseSizeError, collective_moments_from_rdms
+from kstretch.basis import gell_mann_basis
+from kstretch.infoquant import CollectiveMoments, DenseSizeError, collective_moments_from_rdms, \
+    generator_terms
+from kstretch.linalg import DensityMatrix
+from kstretch.povm import build_stpovm
 from kstretch.states import (
     antisymmetric_state,
-    custom_state,
     effect_moments,
     ghz_qudit,
     load_state_file,
@@ -22,17 +25,24 @@ from kstretch.states import (
 )
 
 
+def _factor_moments(vec: np.ndarray, d: int, n: int) -> CollectiveMoments:
+    """(s1, s2) of |vec> from one generator pass over it as a rank-1 factor
+    state: s1 = sum_a rows^2 and s2 = sum_k n_k."""
+    rho = DensityMatrix.from_factor((d,) * n, vec[:, None], [1.0])
+    norms, rows, _ = generator_terms(rho, build_stpovm(gell_mann_basis(d), d * d - 1, 2))
+    return CollectiveMoments(float(np.sum(rows**2)), float(np.sum(norms)))
+
+
 def _check_against_partial_trace(fam):
     """The oracle's hand-built reduced states are the partial traces of the
     dense state, and the closed-form (s1, s2) equal both the moments of
-    those partial traces and those the custom path computes from the
-    state vector."""
+    those partial traces and those of the state vector's generator pass."""
     rho = materialize_dense(fam, 1.0)
     rho1, rho2 = partial_trace(rho, {0}), partial_trace(rho, {0, 1})
     for built, traced in zip(family_reduced_states(fam), (rho1, rho2)):
         assert np.max(np.abs(built.entries - traced.entries)) < 1e-12
     for oracle in (collective_moments_from_rdms(rho1, rho2, fam.n),
-                   custom_state([fam.d] * fam.n, state_vector(fam)).moments):
+                   _factor_moments(state_vector(fam), fam.d, fam.n)):
         assert abs(fam.moments.s1 - oracle.s1) <= 1e-12
         assert abs(fam.moments.s2 - oracle.s2) <= 1e-12
 
@@ -105,21 +115,36 @@ def test_materialize_dense_bounds():
 
 
 def test_dense_infeasible_guard():
-    fam = ghz_qudit(3, 10)
-    assert not fam.dense_feasible
-    with pytest.raises(DenseSizeError):
-        state_vector(fam)
+    """A state vector past DENSE_DIM_LIMIT^2 = 6.25e6 entries (GHZ d=3 at
+    N=15, 1.4e7) is refused before it is allocated; GHZ d=3 at N=8
+    (D = 6561, past the entries limit) is built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseSizeError, match="14348907 entries"):
+            state_vector(ghz_qudit(3, 15))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    rho = materialize_dense(ghz_qudit(3, 8), 0.5)
+    assert rho.dim == 6561 and rho.split[0] == pytest.approx([0.5 + 0.5 / 6561])
+
+
+def _write_state(tmp_path, site_dims, vec) -> str:
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"site_dims": site_dims,
+                                "amplitudes": [[z.real, z.imag] for z in np.ravel(vec)]}))
+    return path
 
 
 def test_custom_state_roundtrip(tmp_path, rng):
+    """A state file loads as the rank-1 factor state |psi><psi| of its
+    amplitudes."""
     vec = random_pure(rng, 4)
-    doc = {"site_dims": [2, 2],
-           "amplitudes": [[z.real, z.imag] for z in vec]}
-    path = tmp_path / "state.json"
-    path.write_text(json.dumps(doc))
-    fam = load_state_file(path)
-    assert fam.kind == "custom" and fam.d == 2 and fam.n == 2
-    assert np.max(np.abs(state_vector(fam) - vec)) < 1e-12
+    rho = load_state_file(_write_state(tmp_path, [2, 2], vec))
+    assert isinstance(rho, DensityMatrix) and rho.site_dims == (2, 2)
+    assert np.max(np.abs(rho.entries - np.outer(vec, vec.conj()))) < 1e-12
+    assert len(rho.split[0]) == 1
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -143,13 +168,27 @@ def test_state_file_rejects_malformed_input(tmp_path, doc, message):
         load_state_file(path)
 
 
-def test_custom_state_validation(rng):
-    with pytest.raises(ValueError):
-        custom_state([2, 3], np.ones(6) / np.sqrt(6))  # non-uniform dims
-    with pytest.raises(ValueError):
-        custom_state([2, 2], np.ones(4))  # not normalized
-    with pytest.raises(ValueError, match="norm is nan"):
-        custom_state([2], np.array([np.nan, 1.0]))
+def test_custom_state_validation(tmp_path):
+    """Site dimensions that differ, an unnormalized vector and a NaN
+    amplitude are each a ValueError that names it."""
+    for dims, vec, message in (([2, 3], np.ones(6) / np.sqrt(6), "must be uniform"),
+                               ([2, 2], np.ones(4), "norm is 2.0, expected 1"),
+                               ([2], np.array([np.nan, 1.0]), "norm is nan")):
+        with pytest.raises(ValueError, match=message):
+            load_state_file(_write_state(tmp_path, dims, vec))
+
+
+@pytest.mark.parametrize("norm", [1 + 9e-11, 1 - 9e-11])
+def test_state_file_accepts_norm_within_tolerance(tmp_path, rng, norm):
+    """A vector whose norm is within 1e-10 of 1 loads, though its squared
+    norm is outside the 1e-10 trace tolerance, as the state it stands for:
+    the weight 1/||psi||^2 gives it unit trace."""
+    vec = random_pure(rng, 8)
+    rho = load_state_file(_write_state(tmp_path, [2, 2, 2], norm * vec))
+    assert abs(np.trace(rho.entries).real - 1.0) < 1e-15
+    assert np.max(np.abs(rho.entries - np.outer(vec, vec.conj()))) < 1e-15
+    with pytest.raises(ValueError, match="norm is"):
+        load_state_file(_write_state(tmp_path, [2, 2, 2], (1 + 2 * (norm - 1)) * vec))
 
 
 def test_state_file_total_dimension_is_exact(tmp_path):
@@ -163,13 +202,12 @@ def test_state_file_total_dimension_is_exact(tmp_path):
 def test_effect_moments_fast_vs_dense(rng):
     """Closed-form and site-local generator moments agree with explicit
     expectation values of the dense collective generators."""
-    from kstretch.basis import gell_mann_basis
     from kstretch.infoquant import collective_operator
-    custom = custom_state([3, 3, 3], random_pure(rng, 27))
-    for fam in (ghz_qudit(3, 3), antisymmetric_state(3), custom):
-        vec = state_vector(fam)
-        bigs = [collective_operator(g, fam.n) for g in gell_mann_basis(fam.d)]
-        mom = effect_moments(fam)
+    bigs = [collective_operator(g, 3) for g in gell_mann_basis(3)]
+    psi = random_pure(rng, 27)
+    cases = [(state_vector(fam), effect_moments(fam))
+             for fam in (ghz_qudit(3, 3), antisymmetric_state(3))]
+    for vec, mom in cases + [(psi, _factor_moments(psi, 3, 3))]:
         assert mom.s1 == pytest.approx(
             sum(np.vdot(vec, big @ vec).real ** 2 for big in bigs), abs=1e-10)
         assert mom.s2 == pytest.approx(
@@ -204,18 +242,3 @@ def test_effect_moments_finite_at_large_n(m19):
                for q in (QFI, VARIANCE)]
     assert np.all(np.isfinite([moments.s1, moments.s2]))
     assert np.all(np.isfinite(lhs))
-
-
-@pytest.mark.parametrize("site_dims", [[2.7, True * 2], [True, 2], [2, 2.0], [np.bool_(True), 2],
-                                       ["2", 2]])
-def test_custom_state_rejects_non_integer_dims(site_dims):
-    """A bool or non-integral site dimension is a ValueError, never
-    truncated by int() into a different system."""
-    with pytest.raises(ValueError, match="site dimensions must be integers"):
-        custom_state(site_dims, np.ones(4) / 2)
-
-
-def test_custom_state_accepts_numpy_integer_dims():
-    fam = custom_state(np.array([2, 2]), np.ones(4) / 2)
-    assert (fam.d, fam.n) == (2, 2)
-    assert (type(fam.d), type(fam.n)) == (int, int)

@@ -180,6 +180,18 @@ def test_only_linalg_reads_a_state_representation():
     assert not readers, f"reads of a state representation outside linalg: {readers}"
 
 
+def test_no_private_name_crosses_a_module():
+    """No module of src/kstretch imports an underscore-prefixed name from
+    another kstretch module: what one module keeps private, no other uses."""
+    imports = sorted(
+        f"{path.stem}:{node.lineno} {alias.name}" for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "kstretch")
+        for alias in node.names if alias.name.startswith("_"))
+    assert not imports, f"private names imported across modules: {imports}"
+
+
 def test_benchmark_workloads_call_bounds():
     """perfbench/workloads.py builds measurements and calls BoundInputs,
     bound_i and bound_v itself, so a change to that API breaks the benchmark;
