@@ -19,7 +19,6 @@ from .infoquant import (
     MonotoneFunctionSpec,
     criterion_lhs_dense,
     criterion_lhs_isotropic,
-    generator_terms,
     is_skew,
 )
 from .linalg import DensityMatrix
@@ -85,14 +84,13 @@ def _violations(i_bd: float, v_bd: float) -> tuple[Callable[[float], bool], ...]
 def _state_lhs(state: State, m: SymmetricMeasurement) -> tuple[int, Callable]:
     """(n, lhs): the site count of `state` and lhs(quantity)(p), the LHS of
     p state + (1-p) 1/D.  An IsotropicFamily reads its moments once, a
-    DensityMatrix makes one generator pass."""
+    DensityMatrix its cached generator pass, after `criterion_lhs_dense` checks m.d."""
     if isinstance(state, IsotropicFamily):
         if state.d != m.d:
             raise ValueError(f"state dimension {state.d} != measurement dimension {m.d}")
         moments, beta, d, n = effect_moments(state), m.beta, state.d, state.n
         return n, lambda q: lambda p: criterion_lhs_isotropic(moments, beta, p, d, n, q)
-    terms = generator_terms(state, m)
-    return state.n_sites, lambda q: lambda p: criterion_lhs_dense(state, m, q, terms, p)
+    return state.n_sites, lambda q: lambda p: criterion_lhs_dense(state, m, q, p)
 
 
 def sweep_rows(state: State, m: SymmetricMeasurement, k: int, quantities: Sequence[Quantity],

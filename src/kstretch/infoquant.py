@@ -4,10 +4,10 @@ sides of the detection inequalities.
 Every (s,t)-POVM is a conical 2-design, sum_uv A (x) A = alpha 1 + beta SWAP,
 so each left-hand side is beta times the same sum over the d^2 - 1
 collective Gell-Mann generators G_a.  Both paths read a state under white
-noise, p rho + (1-p)/D: a dense path that applies all G_a site by site to
-the non-flat eigenvectors of one cached spectral split (`DensityMatrix.split`),
-which the flat level needs only through their norms and which p only
-reweights (the dense collective operators remain as test oracles), and an
+noise, p rho + (1-p)/D: a dense path that reweights the one generator pass
+a state caches (`DensityMatrix.generator_terms`: all G_a applied site by
+site to the non-flat eigenvectors of its split, the flat level read only
+through their norms; the dense collective operators are test oracles), and an
 exact isotropic path for p |psi><psi| + (1-p)/D that needs only the
 generator moments of |psi>.  The skew information and variance of
 a single observable, the dense forms these sums check against, are test
@@ -20,11 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import gell_mann_basis
 from .linalg import DENSE_DIM_LIMIT, EIG_ZERO_TOL, DenseSizeError, DensityMatrix, \
     check_hermitian, embed_site
 
-GROUP_ENTRIES = 2**20  # complex entries of one generator group's image: 16 MB
 VARIANCE = "variance"
 
 
@@ -132,21 +130,6 @@ def collective_moments_from_rdms(rho1: DensityMatrix, rho2: DensityMatrix,
     return CollectiveMoments(s1, float(s2))
 
 
-def _apply_generators(gens: np.ndarray, n: int, v: np.ndarray) -> np.ndarray:
-    """(g_a^(1) + ... + g_a^(n)) v for stacked generators gens (g, d, d) on the
-    columns of v (D, cols): a (g, D, cols) array, one GEMM per site with its axis in
-    front, added as a transposed view into the contiguous image (a strided target is slower)."""
-    g, d = gens.shape[:2]
-    rows = gens.reshape(g * d, d)
-    out = (rows @ v.reshape(d, v.size // d)).reshape((g,) + v.shape)  # site 0
-    for i in range(1, n):
-        rest = v.size // d ** (i + 1)
-        front = v.reshape(d**i, d, rest).transpose(1, 0, 2).reshape(d, d**i * rest)
-        site = out.reshape(g, d**i, d, rest)
-        site += (rows @ front).reshape(g, d, d**i, rest).transpose(0, 2, 1, 3)
-    return out
-
-
 def collective_operator(a: np.ndarray, n: int) -> np.ndarray:
     """Dense A_1 + ... + A_n on n identical sites: a test oracle, kept here
     because the benchmark tracer names it."""
@@ -161,44 +144,23 @@ def collective_operator(a: np.ndarray, n: int) -> np.ndarray:
     return sum(embed_site(a, i, dims) for i in range(n))
 
 
-def generator_terms(rho: DensityMatrix, m) -> tuple:
-    """(n, rows, B) of one pass of all d^2 - 1 generators over the non-flat v_k
-    of `rho.split`: n_k = sum_a ||G_a v_k||^2, rows <v_k|G_a|v_k> and the r x r
-    B = sum_a |V_R^dag G_a V_R|^2.  The generators go in groups whose (size, D, r)
-    image holds at most min(D^2, GROUP_ENTRIES) entries."""
-    if set(rho.site_dims) != {m.d}:
-        raise ValueError(f"site dimensions {rho.site_dims} incompatible with d={m.d}")
-    v, gens = rho.split[-1], gell_mann_basis(m.d)
-    r = v.shape[1]
-    size = max(1, min(rho.dim**2, GROUP_ENTRIES) // max(v.size, 1))
-    norms, rows, block = np.zeros(r), np.zeros((len(gens), r)), np.zeros((r, r))
-    for start in range(0, len(gens), size):
-        gv = _apply_generators(gens[start:start + size], rho.n_sites, v)
-        re_im = gv.view(float).reshape(*gv.shape, 2)
-        norms += np.einsum("gikc,gikc->k", re_im, re_im)
-        vgv = np.matmul(v.conj().T, gv)  # <v_j|G_a|v_k>, one BLAS product per generator
-        rows[start:start + size] = np.diagonal(vgv, axis1=1, axis2=2).real
-        block += np.sum(np.abs(vgv) ** 2, axis=0)
-        del gv, re_im, vgv  # freed before the next group's image is built
-    return norms, rows, block
-
-
-def criterion_lhs_dense(rho: DensityMatrix, m, quantity, terms: tuple | None = None,
-                        p: float = 1.0) -> float:
+def criterion_lhs_dense(rho: DensityMatrix, m, quantity, p: float = 1.0) -> float:
     """Sum over all effects of the chosen quantity (a MonotoneFunctionSpec
     or VARIANCE) for the collective effects on p rho + (1-p)/D, as beta times
     the sum over the collective generators G_a (the alpha part of the design
     meets only equal eigenvalues, which weigh 0).  Of the cached split rho = c 1
-    + sum_R (lam_k - c) |v_k><v_k| only the r non-flat v_k are read, through their
-    `generator_terms`, which several quantities and every p can share: the noise
-    maps each level x to p x + (1-p)/D.  The flat part of each norm is n_k - sum_j
-    B_jk, so the skew sum is sum W_RR o B + 2 sum_k w(lam_k, b) (n_k - sum_j B_jk),
-    b the flat level of the weights; the variance uses Tr rho G^j = c Tr G^j +
+    + sum_R (lam_k - c) |v_k><v_k| only the r non-flat v_k are read, through the cached
+    `rho.generator_terms` that every quantity, p and m of its d share: the noise maps
+    each level x to p x + (1-p)/D.  The flat part of each norm is n_k - sum_j B_jk,
+    so the skew sum is sum W_RR o B + 2 sum_k w(lam_k, b) (n_k - sum_j B_jk), b the
+    flat level of the weights; the variance uses Tr rho G^j = c Tr G^j +
     sum_R (lam_k - c) <v_k|G^j|v_k>, Tr G = 0, Tr G^2 = n D / d."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    if set(rho.site_dims) != {m.d}:
+        raise ValueError(f"site dimensions {rho.site_dims} incompatible with d={m.d}")
     skew = is_skew(quantity)
-    norms, rows, block = terms or generator_terms(rho, m)
+    norms, rows, block = rho.generator_terms
     lam_r, c, b, _ = rho.split
     e = (1 - p) / rho.dim
     lam_r, c, b = p * lam_r + e, p * c + e, p * b + e

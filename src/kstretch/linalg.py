@@ -2,7 +2,8 @@
 
 Conventions: site 0 is the slowest-varying tensor index (standard
 Kronecker ordering, left factor slow).  All operators are plain complex
-numpy arrays; density matrices carry their per-site dimensions.
+numpy arrays; density matrices carry their per-site dimensions, and cache
+the one generator pass (`generator_terms`) that every criterion LHS reads.
 """
 
 from __future__ import annotations
@@ -14,12 +15,15 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .basis import gell_mann_basis
+
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_SLACK = 1e-9
 # eigenvalues below this are treated as exactly zero in spectral formulas
 EIG_ZERO_TOL = 1e-12
 DENSE_DIM_LIMIT = 2500  # D of a state given by entries, and of the dense test oracles
+GROUP_ENTRIES = 2**20  # complex entries of one generator group's image: 16 MB
 
 
 class DenseSizeError(ValueError):
@@ -43,8 +47,8 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Unit-trace PSD Hermitian operator on a tensor-product space: entries (D at most
     DENSE_DIM_LIMIT), checked Hermitian and PSD by the one eigendecomposition kept as `spectrum`,
-    or (`from_factor`) noise 1 + Y Y^dag, both read-only, so `spectrum` and `split` cannot go
-    stale.  Past `split`, nothing asks which of the two a state is."""
+    or (`from_factor`) noise 1 + Y Y^dag, both read-only, so `spectrum`, `split` and
+    `generator_terms` cannot go stale.  Past `split`, nothing asks which of the two a state is."""
 
     site_dims: tuple[int, ...]
     matrix: Optional[np.ndarray] = field(default=None, repr=False)
@@ -97,13 +101,13 @@ class DensityMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """The D x D entries; a factor state builds them on first read."""
-        if self.matrix is None:
-            entries = self.factor @ self.factor.conj().T
-            entries[np.diag_indices(len(entries))] += self.noise
-            entries.flags.writeable = False
-            object.__setattr__(self, "matrix", entries)
-        return self.matrix
+        """The read-only D x D entries; a factor state builds them on each read and keeps none."""
+        if self.matrix is not None:
+            return self.matrix
+        entries = self.factor @ self.factor.conj().T
+        entries[np.diag_indices(len(entries))] += self.noise
+        entries.flags.writeable = False
+        return entries
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -126,6 +130,27 @@ class DensityMatrix:
         lam = np.append(self.noise + np.clip(mu, 0.0, None), self.noise)
         lam[lam < EIG_ZERO_TOL] = 0.0
         return lam[:-1], self.noise, float(lam[-1]), q @ u
+
+    @cached_property
+    def generator_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (n, rows, B) of one pass of the d^2 - 1 generators (sites of one d) over
+        the non-flat v_k of `split`: n_k = sum_a ||G_a v_k||^2, rows <v_k|G_a|v_k>, the r x r
+        B = sum_a |V_R^dag G_a V_R|^2; a group's image holds <= min(D^2, GROUP_ENTRIES) entries."""
+        (d,), v = set(self.site_dims), self.split[-1]
+        gens, r = gell_mann_basis(d), v.shape[1]
+        size = max(1, min(self.dim**2, GROUP_ENTRIES) // max(v.size, 1))
+        norms, rows, block = np.zeros(r), np.zeros((len(gens), r)), np.zeros((r, r))
+        for start in range(0, len(gens), size):
+            gv = _apply_generators(gens[start:start + size], self.n_sites, v)
+            re_im = gv.view(float).reshape(*gv.shape, 2)
+            norms += np.einsum("gikc,gikc->k", re_im, re_im)
+            vgv = np.matmul(v.conj().T, gv)  # <v_j|G_a|v_k>, one BLAS product per generator
+            rows[start:start + size] = np.diagonal(vgv, axis1=1, axis2=2).real
+            block += np.sum(np.abs(vgv) ** 2, axis=0)
+            del gv, re_im, vgv  # freed before the next group's image is built
+        for terms in (norms, rows, block):
+            terms.flags.writeable = False  # every later read shares them
+        return norms, rows, block
 
     @property
     def dim(self) -> int:
@@ -154,6 +179,21 @@ def _spectral_split(evals: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     flat = np.zeros(lam.size, dtype=bool)
     flat[start:start + sizes[start]] = True
     return lam, float(np.mean(evals[flat])), flat
+
+
+def _apply_generators(gens: np.ndarray, n: int, v: np.ndarray) -> np.ndarray:
+    """(g_a^(1) + ... + g_a^(n)) v for stacked generators gens (g, d, d) on the
+    columns of v (D, cols): a (g, D, cols) array, one GEMM per site with its axis in
+    front, added as a transposed view into the contiguous image (a strided target is slower)."""
+    g, d = gens.shape[:2]
+    rows = gens.reshape(g * d, d)
+    out = (rows @ v.reshape(d, v.size // d)).reshape((g,) + v.shape)  # site 0
+    for i in range(1, n):
+        rest = v.size // d ** (i + 1)
+        front = v.reshape(d**i, d, rest).transpose(1, 0, 2).reshape(d, d**i * rest)
+        site = out.reshape(g, d**i, d, rest)
+        site += (rows @ front).reshape(g, d, d**i, rest).transpose(0, 2, 1, 3)
+    return out
 
 
 def hermitian_eig(h: np.ndarray) -> Spectrum:

@@ -6,17 +6,18 @@ import io
 import json
 import weakref
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from conftest import random_pure
-from kstretch import cli, criteria, povm
+from kstretch import cli, criteria, linalg, povm
 from kstretch.basis import gell_mann_basis
 from kstretch.cli import CSV_HEADER, fmt, main
 from kstretch.criteria import CriterionReport, evaluate, threshold_p
 from kstretch.infoquant import QFI, VARIANCE, WYD_HALF, MonotoneFunctionSpec
 from kstretch.povm import SymmetricMeasurement, build_stpovm
-from kstretch.states import ghz_qudit, state_vector
+from kstretch.states import ghz_qudit, load_state_file, state_vector
 
 
 @pytest.fixture
@@ -564,6 +565,27 @@ def test_pure_state_file_past_entries_limit(runner, tmp_path, rng, d, n):
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
         assert result.output.count("\n") == lines, result.output
+
+
+def test_file_threshold_makes_one_generator_pass(runner, tmp_path, rng, monkeypatch):
+    """`threshold --family file --f all` on a rank-1 file at D = 3^6 applies the
+    generator kernel for one pass of the state (one group of 8), not one per
+    quantity, and its rows are the thresholds of one fresh load per quantity."""
+    vec = state_vector(ghz_qudit(3, 6)) + 0.3 * random_pure(rng, 3**6)
+    state = _pure_state_file(tmp_path / "psi.json", 3, 6, vec / np.linalg.norm(vec))
+    m, quantities = build_stpovm(gell_mann_basis(3), 1, 9), (QFI, WYD_HALF, VARIANCE)
+    p_stars = [threshold_p(load_state_file(state), m, q, -3) for q in quantities]
+    calls = []
+    real = linalg._apply_generators
+    monkeypatch.setattr(linalg, "_apply_generators", lambda *args: calls.append(1) or real(*args))
+    result = runner.invoke(main, ["threshold", "--family", "file", "--state-file", state,
+                                  "--n", "6", "--s", "1", "--t", "9", "--f", "all"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+    assert result.output.splitlines()[2:] == [
+        f"6,-3,{label},{criterion},{'NONE' if p is None else fmt(p)}" for label, criterion, p in
+        zip(("qfi", "wyd:0.5", VARIANCE), ("skew", "skew", "variance"), p_stars)]
+    assert p_stars[0] is not None  # the bisection itself is compared
 
 
 def test_criteria_k_below_one_minus_n_fails_cleanly(runner):

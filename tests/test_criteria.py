@@ -14,7 +14,7 @@ from oracles import (
     block_probability_bounds,
     dense_kstretchable_entries,
 )
-from kstretch import criteria, infoquant, linalg, partitions
+from kstretch import criteria, linalg, partitions
 from kstretch.basis import gell_mann_basis
 from kstretch.criteria import (
     VERDICT_MARGIN,
@@ -247,18 +247,24 @@ def test_evaluate_reports_are_the_rows(m19):
     assert list(reports[0].to_json_dict()) == [*criteria.ROW_KEYS, "verdict"]
 
 
-def test_dense_sweep_makes_one_generator_pass(m19, monkeypatch):
-    """A dense sweep over QFI, WYD 1/2 and the variance makes one
-    `generator_terms` pass, and its rows equal, bit for bit, the reports of
-    one `evaluate` per quantity."""
-    rho = materialize_dense(ghz_qudit(3, 4), 0.7)
-    quantities = [QFI, WYD_HALF, VARIANCE]
-    expected = [repr(_report_cells(evaluate(rho, m19, q, -1))) for q in quantities]
+def _count_kernel(monkeypatch) -> list:
+    """The list each call of the generator kernel, one generator group, appends to."""
     calls = []
-    real = criteria.generator_terms
-    monkeypatch.setattr(criteria, "generator_terms",
-                        lambda *args: calls.append(1) or real(*args))
-    shared, rows = criteria.sweep_rows(rho, m19, -1, quantities, [None])
+    real = linalg._apply_generators
+    monkeypatch.setattr(linalg, "_apply_generators", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_dense_sweep_makes_one_generator_pass(m19, monkeypatch):
+    """A dense sweep over QFI, WYD 1/2 and the variance on a fresh state makes
+    one generator pass (one group of 8 at D = 81, rank 1), and its rows equal,
+    bit for bit, the reports of one `evaluate` per quantity, each on a fresh state."""
+    quantities = [QFI, WYD_HALF, VARIANCE]
+    expected = [repr(_report_cells(evaluate(materialize_dense(ghz_qudit(3, 4), 0.7), m19, q, -1)))
+                for q in quantities]
+    calls = _count_kernel(monkeypatch)
+    shared, rows = criteria.sweep_rows(materialize_dense(ghz_qudit(3, 4), 0.7), m19, -1,
+                                       quantities, [None])
     assert len(calls) == 1
     assert [repr(row) for row in rows] == expected
     assert shared["N"] == 4 and [row[1] for row in rows] == [None] * 3
@@ -356,18 +362,44 @@ def test_factor_evaluate_decomposes_r_by_r_once(m19, monkeypatch):
     (lambda rng: DensityMatrix((3,) * 4, random_density(rng, 81)), 8),
 ])
 def test_dense_evaluate_one_generator_pass(m19, monkeypatch, state, groups):
-    """A dense evaluate applies the generators once for both criteria: one
-    group of 8 at rank 3 and D = 729, one generator per group at full rank
-    and D = 81; both LHS equal those of separate calls."""
-    rho = state(np.random.default_rng(9))
-    calls = []
-    real = infoquant._apply_generators
-    monkeypatch.setattr(infoquant, "_apply_generators",
-                        lambda *args: calls.append(1) or real(*args))
-    rep = evaluate(rho, m19, WYD_HALF, k=-1)
+    """A dense evaluate on a fresh state applies the generators once for both
+    criteria: one group of 8 at rank 3 and D = 729, one generator per group at
+    full rank and D = 81; both LHS equal those of separate calls, each on a
+    fresh state."""
+    calls = _count_kernel(monkeypatch)
+    rep = evaluate(state(np.random.default_rng(9)), m19, WYD_HALF, k=-1)
     assert len(calls) == groups
     for lhs, quantity in ((rep.lhs_skew, WYD_HALF), (rep.lhs_var, VARIANCE)):
-        assert abs(lhs - criterion_lhs_dense(rho, m19, quantity)) <= 1e-12 * abs(lhs)
+        fresh = state(np.random.default_rng(9))
+        assert abs(lhs - criterion_lhs_dense(fresh, m19, quantity)) <= 1e-12 * abs(lhs)
+
+
+@pytest.mark.parametrize("state", [
+    lambda rng: DensityMatrix((3,) * 3, materialize_dense(ghz_qudit(3, 3), 0.6).entries),
+    _rank3_factor,
+])
+def test_dense_state_caches_one_generator_pass(m14, m19, monkeypatch, state):
+    """QFI, WYD 1/2 and variance `evaluate`, `sweep_rows` and `threshold_p`
+    calls on one state, built from entries (D = 27) or a rank-3 factor
+    (D = 729), make one generator pass, one group of 8 for each, kept
+    read-only; each result equals, bit for bit, the same call on a fresh copy
+    of the state; and a measurement of another d is still refused once the
+    pass is cached."""
+    quantities = (QFI, WYD_HALF, VARIANCE)
+    calls = [lambda rho, q=q, p=p: evaluate(rho, m19, q, -1, p)
+             for q in quantities for p in (None, 0.0, 0.55)]
+    calls += [lambda rho, q=q: threshold_p(rho, m19, q, -1) for q in quantities]
+    calls.append(lambda rho: criteria.sweep_rows(rho, m19, 0, quantities, [0.3, None]))
+    expected = [repr(call(state(np.random.default_rng(9)))) for call in calls]
+    kernel = _count_kernel(monkeypatch)
+    rho = state(np.random.default_rng(9))
+    assert [repr(call(rho)) for call in calls] == expected
+    assert len(kernel) == 1 and not any(terms.flags.writeable for terms in rho.generator_terms)
+    for call in (lambda: evaluate(rho, m14, QFI, -1), lambda: threshold_p(rho, m14, VARIANCE, -1),
+                 lambda: criterion_lhs_dense(rho, m14, WYD_HALF)):
+        with pytest.raises(ValueError, match=r"site dimensions \(3, 3, 3.*incompatible with d=2"):
+            call()
+    assert len(kernel) == 1
 
 
 def test_bounds_compute_m_once(m19, monkeypatch):
@@ -589,10 +621,7 @@ def test_threshold_is_least_violated_float(case):
 
 def test_threshold_computes_moments_once_per_family(m19, monkeypatch):
     """GHZ states its moments: three thresholds apply no generator."""
-    calls = []
-    real = infoquant._apply_generators
-    monkeypatch.setattr(infoquant, "_apply_generators",
-                        lambda *args: calls.append(1) or real(*args))
+    calls = _count_kernel(monkeypatch)
     family = ghz_qudit(3, 10)
     for quantity in (QFI, WYD_HALF, VARIANCE):
         threshold_p(family, m19, quantity, 3 - family.n)

@@ -20,13 +20,12 @@ from kstretch.infoquant import (
     CollectiveMoments,
     DenseSizeError,
     MonotoneFunctionSpec,
-    _apply_generators,
     collective_moments_from_rdms,
     collective_operator,
     criterion_lhs_dense,
     criterion_lhs_isotropic,
 )
-from kstretch.linalg import DensityMatrix, Spectrum, _spectral_split
+from kstretch.linalg import DensityMatrix, Spectrum, _apply_generators, _spectral_split
 from kstretch.povm import build_stpovm
 from kstretch.states import antisymmetric_state, effect_moments, ghz_qudit, materialize_dense, \
     state_vector
@@ -382,11 +381,13 @@ def test_dense_lhs_never_reads_flat_eigenvectors(m19):
 
 
 def test_dense_lhs_memory_at_full_rank(m19):
-    """At full rank one call holds at most 6 complex D x D matrices at once."""
-    rho = DensityMatrix((3,) * 5, random_density(np.random.default_rng(5), 243))
-    rho.spectrum  # the cached decomposition is not part of the call
+    """At full rank one call on a fresh state, its split and generator pass
+    included, holds at most 6 complex D x D matrices at once."""
+    entries = random_density(np.random.default_rng(5), 243)
     unit = 243 * 243 * np.dtype(complex).itemsize
     for quantity in (QFI, WYD_HALF, VARIANCE):
+        rho = DensityMatrix((3,) * 5, entries)
+        rho.spectrum  # the cached decomposition is not part of the call
         tracemalloc.start()
         try:
             criterion_lhs_dense(rho, m19, quantity)
@@ -398,13 +399,15 @@ def test_dense_lhs_memory_at_full_rank(m19):
 
 def test_dense_lhs_memory_at_rank_3(m19):
     """A rank-3 factor state at d=3, N=10 (D = 59049): the generators go five
-    to a group, whose image holds 5 V_R, so one call holds two images and
-    one more copy of V_R (11 V_R) and stays within 12 times V_R's bytes."""
+    to a group, whose image holds 5 V_R, so one call on a fresh state, its
+    generator pass included, holds two images and one more copy of V_R (11 V_R)
+    and stays within 12 times V_R's bytes."""
     rng = np.random.default_rng(10)
     x = rng.normal(size=(3**10, 3)) + 1j * rng.normal(size=(3**10, 3))
-    rho = DensityMatrix.from_factor((3,) * 10, x / np.linalg.norm(x, axis=0), [0.5, 0.3, 0.2])
-    unit = rho.split[-1].nbytes  # the cached split is not part of the call
+    x /= np.linalg.norm(x, axis=0)
     for quantity in (QFI, WYD_HALF, VARIANCE):
+        rho = DensityMatrix.from_factor((3,) * 10, x, [0.5, 0.3, 0.2])
+        unit = rho.split[-1].nbytes  # the cached split is not part of the call
         tracemalloc.start()
         try:
             criterion_lhs_dense(rho, m19, quantity)
@@ -454,9 +457,9 @@ def test_entries_state_past_limit_raises_before_generators(m19, monkeypatch):
     error that names the factor form, while the same state as a factor
     evaluates; the constant and the error still resolve in infoquant."""
     eigs, gens = [], []
-    real_eig, real_apply = linalg.hermitian_eig, infoquant._apply_generators
+    real_eig, real_apply = linalg.hermitian_eig, linalg._apply_generators
     monkeypatch.setattr(linalg, "hermitian_eig", lambda h: eigs.append(1) or real_eig(h))
-    monkeypatch.setattr(infoquant, "_apply_generators",
+    monkeypatch.setattr(linalg, "_apply_generators",
                         lambda *args: gens.append(1) or real_apply(*args))
     monkeypatch.setattr(linalg, "DENSE_DIM_LIMIT", 80)
     vec = state_vector(ghz_qudit(3, 4))[:, None]

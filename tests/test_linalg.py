@@ -125,8 +125,9 @@ def test_entries_split_slices_spectral_split(entries):
 
 
 def test_factor_entries_read_only_and_built_on_first_read(rng):
-    """A factor state holds no D x D matrix until its entries are read; then
-    they are noise 1 + Y Y^dag, read-only, built once, from its own copy."""
+    """A factor state never holds a D x D matrix: its first read of the
+    entries, like every later one, builds noise 1 + Y Y^dag, read-only, from
+    its own copy, and keeps none."""
     x = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
     x /= np.linalg.norm(x, axis=0)
     w, c = np.array([0.3, 0.5]), 0.2 / 8
@@ -135,7 +136,7 @@ def test_factor_entries_read_only_and_built_on_first_read(rng):
     x[0, 0] = w[0] = np.nan  # the caller's arrays are not kept
     assert rho.matrix is None
     assert np.max(np.abs(rho.entries - expected)) < 1e-15
-    assert rho.entries is rho.entries
+    assert rho.matrix is None
     with pytest.raises(ValueError):
         rho.entries[0, 0] = 1.0
     with pytest.raises(ValueError):

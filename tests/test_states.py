@@ -11,10 +11,8 @@ import pytest
 from conftest import random_pure
 from oracles import family_reduced_states, partial_trace
 from kstretch.basis import gell_mann_basis
-from kstretch.infoquant import CollectiveMoments, DenseSizeError, collective_moments_from_rdms, \
-    generator_terms
+from kstretch.infoquant import CollectiveMoments, DenseSizeError, collective_moments_from_rdms
 from kstretch.linalg import DensityMatrix
-from kstretch.povm import build_stpovm
 from kstretch.states import (
     antisymmetric_state,
     effect_moments,
@@ -28,8 +26,7 @@ from kstretch.states import (
 def _factor_moments(vec: np.ndarray, d: int, n: int) -> CollectiveMoments:
     """(s1, s2) of |vec> from one generator pass over it as a rank-1 factor
     state: s1 = sum_a rows^2 and s2 = sum_k n_k."""
-    rho = DensityMatrix.from_factor((d,) * n, vec[:, None], [1.0])
-    norms, rows, _ = generator_terms(rho, build_stpovm(gell_mann_basis(d), d * d - 1, 2))
+    norms, rows, _ = DensityMatrix.from_factor((d,) * n, vec[:, None], [1.0]).generator_terms
     return CollectiveMoments(float(np.sum(rows**2)), float(np.sum(norms)))
 
 

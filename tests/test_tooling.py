@@ -180,6 +180,19 @@ def test_only_linalg_reads_a_state_representation():
     assert not readers, f"reads of a state representation outside linalg: {readers}"
 
 
+def test_only_linalg_calls_the_generator_kernel():
+    """No module of src/kstretch but linalg defines, imports or reads
+    `_apply_generators` or its `GROUP_ENTRIES`: the one generator pass of a
+    state is its cached `DensityMatrix.generator_terms`, which every criterion
+    LHS reads."""
+    callers = sorted(
+        f"{path.stem}:{getattr(node, 'lineno', '')}" for path in PACKAGE.glob("*.py")
+        if path.stem != "linalg" for node in ast.walk(ast.parse(path.read_text()))
+        if {getattr(node, key, None) for key in ("id", "attr", "name")}
+        & {"_apply_generators", "GROUP_ENTRIES"})
+    assert not callers, f"generator kernel named outside linalg: {callers}"
+
+
 def test_no_private_name_crosses_a_module():
     """No module of src/kstretch imports an underscore-prefixed name from
     another kstretch module: what one module keeps private, no other uses."""
