@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from itertools import chain
 from typing import NoReturn, Optional
 
 import click
@@ -32,6 +33,7 @@ from .povm import build_stpovm
 from .states import antisymmetric_state, ghz_qudit, load_state_file
 
 CSV_HEADER = ",".join(ROW_KEYS)
+THRESHOLD_KEYS = ("N", "k", "f", "criterion", "p_star")
 
 
 def fmt(x) -> str:
@@ -154,12 +156,12 @@ def _emit(text: str, output: Optional[str]) -> None:
                 fh.write(text)
         except OSError as exc:  # a missing directory, a read-only file
             _fail(exc)
-    else:  # file= bypasses click's stream cache, which keeps every stdout alive
-        click.echo(text, nl=False, file=sys.stdout)
+    else:  # not click.echo, which runs an ANSI-strip regex over text not bound for a tty
+        print(text, end="", flush=True)
 
 
 def _fail(message: object) -> NoReturn:
-    click.echo(f"error: {message}", file=sys.stderr)  # as in _emit, for stderr
+    click.echo(f"error: {message}", file=sys.stderr)  # file= bypasses click's stream cache
     sys.exit(1)
 
 
@@ -183,9 +185,8 @@ def cmd_povm(ctx, d, s, t, r, output):
         m = _build_measurement(d, s, t, r)
     except ValueError as exc:
         _fail(exc)
-    r_neg, r_pos = m.r_bounds
     lines = [f"(s,t)-POVM d={d} s={s} t={t} r={fmt(m.r)} chi={fmt(m.chi)}",
-             f"r range: [{fmt(r_neg)}, {fmt(r_pos)}]", "certification:"]
+             f"r range: [{', '.join(map(fmt, m.r_bounds))}]", "certification:"]
     # a measurement that exists has passed certification, so every residual does
     lines += [f"  {key:24s} {fmt(val):>18s}  pass" for key, val in m.residuals.items()]
     if output:
@@ -200,7 +201,7 @@ def _p_values(p: tuple[float, ...], p_range: Optional[str]) -> list[float]:
     if p_range:
         try:
             start, stop, count = p_range.split(":")
-            values = [float(x) for x in np.linspace(float(start), float(stop), int(count))]
+            values = np.linspace(float(start), float(stop), int(count)).tolist()
         except ValueError:  # a wrong form, or a negative count
             values = []
         if not values:
@@ -216,28 +217,40 @@ def _p_values(p: tuple[float, ...], p_range: Optional[str]) -> list[float]:
     return values
 
 
-def _criteria_json(cfg: dict, shared: dict, rows: list) -> str:
+def _row_cells(rows: list, q: int, encode, encode_label) -> list:
+    """The (f, p, lhs_skew, violated_skew, lhs_var, violated_var) text columns of these
+    p-major `sweep_rows`, q per p, each by one call of `encode`; a p's p, lhs_var and
+    violated_var are encoded once and repeated by position, never matched by value."""
+    labels, p, lhs_skew, violated_skew, lhs_var, violated_var = zip(*rows)
+    p, lhs_var, violated_var = (list(chain.from_iterable(zip(*[encode(column[::q])] * q)))
+                                for column in (p, lhs_var, violated_var))
+    labels = list(map(encode_label, labels[:q])) * (len(rows) // q)
+    return [labels, p, encode(lhs_skew), encode(violated_skew), lhs_var, violated_var]
+
+
+def _criteria_json(cfg: dict, shared: dict, rows: list, q: int) -> str:
     """json.dumps({"config": cfg, "rows": [rep.to_json_dict() ...]}, indent=2) + "\\n" for
-    the reports of these `sweep_rows`, with the shared fields encoded once into a row
-    template and the rows by one call to the C encoder, which indent=2 never uses."""
+    these `sweep_rows`, q per p: a row template holds the shared fields, and the C encoder,
+    which indent=2 never uses, encodes the other cells a column at a time."""
     head = json.dumps({"config": cfg, "rows": []}, indent=2)
     template = "    {\n" + ",\n".join(
         f'      "{key}": ' + (json.dumps(shared[key]) if key in shared else "%s")
         for key in (*ROW_KEYS, "verdict")) + "\n    }"
-    verdicts = {(vs, vv): json.dumps(verdict_of(vs, vv))
+    verdicts = {(json.dumps(vs), json.dumps(vv)): json.dumps(verdict_of(vs, vv))
                 for vs in (True, False, None) for vv in (True, False)}
-    # no label, number, bool or null holds a "," or "],[", so the splits find the cells
-    cells = json.dumps(rows, separators=(",", ":"))[2:-2].split("],[")
-    body = ",\n".join(template % (*cell.split(","), verdicts[row[3], row[5]])
-                      for cell, row in zip(cells, rows))
+    # no number, bool or null encodes with a ", ", so the split finds the cells
+    cells = _row_cells(rows, q, lambda col: json.dumps(col)[1:-1].split(", "), json.dumps)
+    cells.append(map(verdicts.__getitem__, zip(cells[3], cells[5])))
+    body = ",\n".join(map(template.__mod__, zip(*cells)))
     return f"{head[:-4]}[\n{body}\n  ]\n}}\n"
 
 
-def _criteria_csv(cfg: dict, shared: dict, rows: list) -> str:
-    """CSV of these `sweep_rows`: each row fills a template holding the shared fields."""
+def _criteria_csv(cfg: dict, shared: dict, rows: list, q: int) -> str:
+    """CSV of these `sweep_rows`, q per p: a row template holds the shared fields."""
     template = ",".join(fmt(shared[key]) if key in shared else "%s" for key in ROW_KEYS)
+    cells = _row_cells(rows, q, lambda col: list(map(fmt, col)), str)
     return "\n".join([f"# config = {json.dumps(cfg)}", CSV_HEADER,
-                      *(template % (f, *map(fmt, rest)) for f, *rest in rows)]) + "\n"
+                      *map(template.__mod__, zip(*cells))]) + "\n"
 
 
 @main.command("criteria")
@@ -261,7 +274,7 @@ def cmd_criteria(ctx, family, state_file, d, n, k, s, t, r, p, p_range, f_choice
     except ValueError as exc:
         _fail(exc)
     writer = _criteria_json if out_format == "json" else _criteria_csv
-    _emit(writer(_config_echo(ctx.params), shared, rows), output)
+    _emit(writer(_config_echo(ctx.params), shared, rows, len(quantities)), output)
     sys.exit(0)
 
 
@@ -295,17 +308,13 @@ def cmd_threshold(ctx, family, state_file, d, n, k, s, t, r, f_choice, out_forma
         _fail(exc)
     cfg = _config_echo(ctx.params)
     if out_format == "json":
-        text = json.dumps({
-            "config": cfg,
-            "rows": [{"N": nv, "k": kv, "f": lb, "criterion": cr,
-                      "p_star": ps} for nv, kv, lb, cr, ps in rows],
-        }, indent=2) + "\n"
-    else:
-        lines = [f"# config = {json.dumps(cfg)}", "N,k,f,criterion,p_star"]
-        for nv, kv, lb, cr, ps in rows:
-            lines.append(",".join([fmt(nv), fmt(kv), lb, cr,
-                                   fmt(ps) if ps is not None else "NONE"]))
-        text = "\n".join(lines) + "\n"
+        docs = [dict(zip(THRESHOLD_KEYS, row)) for row in rows]
+        text = json.dumps({"config": cfg, "rows": docs}, indent=2) + "\n"
+    else:  # fmt gives "" only for None, a p* that does not exist
+        lines = (",".join([fmt(nv), fmt(kv), lb, cr, fmt(ps) or "NONE"])
+                 for nv, kv, lb, cr, ps in rows)
+        text = "\n".join([f"# config = {json.dumps(cfg)}", ",".join(THRESHOLD_KEYS),
+                          *lines]) + "\n"
     _emit(text, output)
     sys.exit(0)
 
@@ -324,20 +333,17 @@ def cmd_partitions(ctx, n, k, d, s, t, r, diagrams):
     count = count_kstretch(n, k)
     lines = [f"# config = {json.dumps(_config_echo(ctx.params))}",
              f"{count} {k}-stretchable partition(s) of {n}"]
-    if not count:
-        _emit("\n".join(lines) + "\n", None)
-        sys.exit(0)
-    lines.append(f"max sum of squared block sizes: {max_sum_squares(n, k)}")
-    try:
-        m = _build_measurement(d, s, t, r)
-        inputs = BoundInputs.from_measurement(m, n, min(k, n - 1))
-        lines.append(f"I bound: {fmt(bound_i(inputs))}")
-        lines.append(f"V bound: {fmt(bound_v(inputs))}")
-    except ValueError as exc:
-        lines.append(f"bounds unavailable: {exc}")
-    if diagrams:
-        for parts in enumerate_kstretch(n, k):
-            lines += ["", young_diagram(parts)]
+    if count:
+        lines.append(f"max sum of squared block sizes: {max_sum_squares(n, k)}")
+        try:
+            m = _build_measurement(d, s, t, r)
+            inputs = BoundInputs.from_measurement(m, n, min(k, n - 1))
+            lines += [f"I bound: {fmt(bound_i(inputs))}", f"V bound: {fmt(bound_v(inputs))}"]
+        except ValueError as exc:
+            lines.append(f"bounds unavailable: {exc}")
+        if diagrams:
+            for parts in enumerate_kstretch(n, k):
+                lines += ["", young_diagram(parts)]
     _emit("\n".join(lines) + "\n", None)
     sys.exit(0)
 

@@ -214,7 +214,4 @@ def embed_site(x: np.ndarray, site: int, site_dims: Sequence[int]) -> np.ndarray
         raise ValueError(
             f"operator shape {x.shape} does not match site dimension {dims[site]}"
         )
-    out = np.eye(int(np.prod(dims[:site])), dtype=complex)
-    out = np.kron(out, x)
-    out = np.kron(out, np.eye(int(np.prod(dims[site + 1:])), dtype=complex))
-    return out
+    return np.kron(np.kron(np.eye(math.prod(dims[:site])), x), np.eye(math.prod(dims[site + 1:])))

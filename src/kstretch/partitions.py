@@ -49,11 +49,7 @@ def enumerate_kstretch(n: int, k: int) -> list[tuple[int, ...]]:
         warnings.warn(f"no partition of {n} is {k}-stretchable", stacklevel=2)
         return []
     k_eff = min(k, n - 1)
-    return [
-        parts
-        for parts in _int_partitions_desc(n, n)
-        if stretchability(parts) <= k_eff
-    ]
+    return [parts for parts in _int_partitions_desc(n, n) if stretchability(parts) <= k_eff]
 
 
 def _partition_numbers(n: int) -> list[int]:

@@ -212,6 +212,10 @@ WRITER_CASES = {
     "variance-null-skew": D2 + ["--f", "variance", "--p", "0.2", "--p", "0.9"],
     "wyd-0.3": D2 + ["--f", "wyd:0.3", "--p-range", "0:1:5"],
     "signed-zeros": D2 + ["--p", "-0.0", "--p", "0.0", "--p", "1"],
+    "repeated-p": D2 + ["--p", "0.5", "--p", "0.5", "--p", "0.25"],
+    "one-p": D2 + ["--p-range", "0:1:1"],
+    "benchmark-size": ["--family", "ghz", "--d", "3", "--n", "8", "--k", "-5",
+                       "--p-range", "0:1:101"],
     "state-file": ["--family", "file", "--state-file", "{state}", "--n", "3", "--k", "0",
                    "--s", "3", "--t", "2", "--p", "0.5", "--p", "1"],
 }
@@ -249,6 +253,20 @@ def test_criteria_writers_match_oracles(runner, monkeypatch, tmp_path, case, out
         assert all(rep.lhs_skew is None for rep in reports)
     if case == "state-file":
         assert json.dumps(str(state)) in result.output
+
+
+def test_criteria_csv_formats_shared_cells_once_per_p(runner, monkeypatch):
+    """A CSV sweep formats each shared field once, and per p its p, lhs_var and
+    violated_var once and the lhs_skew and violated_skew of each of its q rows:
+    3 + 2q calls of fmt per p."""
+    calls = []
+    monkeypatch.setattr(cli, "fmt", lambda x, real=cli.fmt: calls.append(x) or real(x))
+    result = runner.invoke(main, ["criteria", "--family", "ghz", "--d", "3", "--n", "5",
+                                  "--k", "-2", "--f", "all", "--p-range", "0:1:11",
+                                  "--format", "csv"])
+    assert result.exit_code == 0, result.output
+    n_shared, n_p, q = 8, 11, 3
+    assert len(calls) == n_shared + n_p * (3 + 2 * q)
 
 
 @pytest.mark.parametrize("out_format", ["json", "csv"])
