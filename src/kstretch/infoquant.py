@@ -168,9 +168,8 @@ def criterion_lhs_dense(rho: DensityMatrix, m, quantity, p: float = 1.0) -> floa
         shift = lam_r - c
         second = len(rows) * c * rho.dim * rho.n_sites / m.d + shift @ norms
         return m.beta * float(second - np.sum((rows @ shift) ** 2))
-    w_flat = _weight_matrix(lam_r, np.array([b]), quantity)[:, 0]
-    return m.beta * float(np.sum(_weight_matrix(lam_r, lam_r, quantity) * block)
-                          + 2 * w_flat @ (norms - block.sum(axis=0)))
+    w = _weight_matrix(lam_r, np.append(lam_r, b), quantity)  # W_RR, then the flat column
+    return m.beta * float(np.sum(w[:, :-1] * block) + 2 * w[:, -1] @ (norms - block.sum(axis=0)))
 
 
 def two_level_factor(p: float, d: int, n: int, spec: MonotoneFunctionSpec) -> float:

@@ -16,7 +16,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 
@@ -87,6 +87,7 @@ def count_kstretch(n: int, k: int) -> int:
     return total
 
 
+@lru_cache(maxsize=1024, typed=True)  # typed: 6.0 and np.float64 still raise
 def max_sum_squares(n: int, k: int) -> int:
     """Exact max of sum(parts^2) over k-stretchable partitions of n.
 

@@ -12,7 +12,9 @@ non-flat eigenvectors only, random states as factors, the families'
 generator moments in closed form, the value table by a lexsort and the
 residuals from views; these independent forms check it, and none of them
 runs in the tool.  The batched generator kernel, one d^i-batch matmul per
-site, is the bit-exact oracle of the tool's one GEMM per site."""
+site, is the bit-exact oracle of the tool's one GEMM per site, and the skew
+LHS from two weight matrices, W_RR and the flat column, that of the tool's
+one R x (R+1) weight matrix."""
 
 from typing import Sequence
 
@@ -319,6 +321,19 @@ def full_basis_lhs_dense(rho, m, quantity) -> float:
         x_rest = _apply_collective(g, n, v_rest).conj().T @ evecs
         total += float(np.sum(weights * np.abs(x_rest) ** 2))
     return m.beta * total
+
+
+def two_call_skew_lhs_dense(rho, m, quantity, p: float) -> float:
+    """The skew LHS of p rho + (1-p)/D from the cached generator pass, with
+    the R x R weights and the flat column (against np.array([b])) built by
+    two `_weight_matrix` calls."""
+    norms, _, block = rho.generator_terms
+    lam_r, _, b, _ = rho.split
+    e = (1 - p) / rho.dim
+    lam_r, b = p * lam_r + e, p * b + e
+    w_flat = _weight_matrix(lam_r, np.array([b]), quantity)[:, 0]
+    return m.beta * float(np.sum(_weight_matrix(lam_r, lam_r, quantity) * block)
+                          + 2 * w_flat @ (norms - block.sum(axis=0)))
 
 
 def dense_kstretchable_entries(rng, d: int, n: int, k: int) -> np.ndarray:

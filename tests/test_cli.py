@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import random_pure
-from kstretch import cli, criteria, linalg, povm
+from kstretch import cli, criteria, linalg, partitions, povm
 from kstretch.basis import gell_mann_basis
 from kstretch.cli import CSV_HEADER, fmt, main
 from kstretch.criteria import CriterionReport, evaluate, threshold_p
@@ -375,6 +375,17 @@ def test_threshold_builds_one_measurement_per_dimension(runner, monkeypatch):
             expected.append(",".join([str(n), str(3 - n), label, criterion,
                                       fmt(p_star) if p_star is not None else "NONE"]))
     assert rows == expected
+
+
+def test_threshold_computes_m_once_per_n(runner):
+    """`--f all` over three N runs the O(N) body of max_sum_squares once per
+    (N, k), 3 times, and not once per quantity, 9 times."""
+    partitions.max_sum_squares.cache_clear()
+    result = runner.invoke(main, ["threshold", "--family", "ghz", "--d", "3", "--n", "10",
+                                  "--n", "20", "--n", "30", "--f", "all"])
+    assert result.exit_code == 0, result.output
+    info = partitions.max_sum_squares.cache_info()
+    assert (info.misses, info.hits) == (3, 6)
 
 
 def test_threshold_none_row(runner):

@@ -1,6 +1,5 @@
 """Verdicts, thresholds, auxiliary bound checks, random state generation."""
 
-import functools
 import json
 import math
 
@@ -508,12 +507,11 @@ def test_threshold_matches_grid_bisection_oracle(family_kind):
                 assert p_star == pytest.approx(expected, abs=ORACLE_WIDTH), where
 
 
-def test_no_verdict_at_p0_large_n_small_r(monkeypatch):
+def test_no_verdict_at_p0_large_n_small_r():
     """No verdict at p = 0 for GHZ at N up to 10^6 and r down to r_max 1e-6,
     and the variance LHS of 1/D, beta (d^2-1) N/d, exceeds bound_v by at
     least beta N (1 - 1/d), with equality at k = 1-N (M = N).  N = 10^6 runs
     the two smallest k only, whose M is cheap."""
-    monkeypatch.setattr(partitions, "max_sum_squares", functools.cache(max_sum_squares))
     cases = [(build_stpovm(gell_mann_basis(d), s, t), scale)
              for d, s, t in ((2, 3, 2), (2, 1, 4), (3, 8, 2), (3, 1, 9))
              for scale in (1.0, 1e-3, 1e-6)]

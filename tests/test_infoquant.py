@@ -35,6 +35,7 @@ from oracles import (
     full_basis_lhs_dense,
     partial_trace,
     skew_information,
+    two_call_skew_lhs_dense,
     variance,
 )
 
@@ -363,6 +364,35 @@ def test_factor_of_rank_zero_is_maximally_mixed(m14):
         want = criterion_lhs_dense(ref, m14, quantity)
         assert criterion_lhs_dense(rho, m14, quantity) == pytest.approx(want, rel=1e-12, abs=0)
     assert rho.matrix is None and "spectrum" not in rho.__dict__
+
+
+def _rank_states(rng, d: int, n: int):
+    """(label, state) of factor and entries states at r = 0, 1, 3 and full rank:
+    r = 1 and 3 without and with noise, full rank as r = D vectors or a Wishart matrix."""
+    dim = d**n
+    yield "r=0 factor", DensityMatrix.from_factor((d,) * n, np.zeros((dim, 0)), [], 1 / dim)
+    yield "r=0 entries", DensityMatrix((d,) * n, np.eye(dim) / dim)
+    for rank, noise in ((1, 0.0), (1, 0.2), (3, 0.0), (3, 0.2), (dim, 0.0)):
+        x = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        x /= np.linalg.norm(x, axis=0)
+        rho = DensityMatrix.from_factor((d,) * n, x, (1 - noise) * rng.dirichlet(np.ones(rank)),
+                                        noise / dim)
+        yield f"r={rank} noise={noise} factor", rho
+        yield f"r={rank} noise={noise} entries", DensityMatrix(rho.site_dims, rho.entries)
+    yield "full rank Wishart entries", DensityMatrix((d,) * n, random_density(rng, dim))
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 3)])
+def test_one_weight_matrix_matches_two_call_oracle(m14, m19, rng, d, n):
+    """The skew LHS from one R x (R+1) weight matrix equals, bit for bit, the
+    two-call form with W_RR and the flat column built apart: entries and factor
+    states at r = 0, 1, 3 and full rank, QFI and WYD 1/2 and 0.2, p in {0, 0.37, 1}."""
+    m = m14 if d == 2 else m19
+    for label, rho in _rank_states(rng, d, n):
+        for quantity in (QFI, WYD_HALF, MonotoneFunctionSpec("wyd", 0.2)):
+            for p in (0.0, 0.37, 1.0):
+                got = criterion_lhs_dense(rho, m, quantity, p)
+                assert got == two_call_skew_lhs_dense(rho, m, quantity, p), (label, quantity, p)
 
 
 def test_dense_lhs_never_reads_flat_eigenvectors(m19):

@@ -90,6 +90,22 @@ def test_empty_below_range():
             max_sum_squares(3, -3)
 
 
+def test_memo_keeps_the_integer_contract():
+    """M(N, k) is memoized per typed (N, k) in a bounded cache: once (6, 0) is
+    cached, (6.0, 0) and (6, 0.0), equal keys to an untyped cache, still raise;
+    numpy integers still give 14; and k < 1 - N warns and raises on every call."""
+    assert max_sum_squares(6, 0) == 14
+    for n, k in ((6.0, 0), (6, 0.0), (6, np.float64(0.0))):
+        with pytest.raises(ValueError, match="must be integers"):
+            max_sum_squares(n, k)
+    assert max_sum_squares(np.int64(6), np.int32(0)) == 14
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="no partition of 3"):
+            with pytest.raises(ValueError, match="no -3-stretchable partition of 3"):
+                max_sum_squares(3, -3)
+    assert max_sum_squares.cache_info().maxsize is not None
+
+
 @pytest.mark.parametrize("func", [count_kstretch, enumerate_kstretch, max_sum_squares])
 def test_partition_functions_reject_non_integers(func):
     """A float N or k is the same ValueError, naming both, in every function
@@ -157,7 +173,7 @@ def test_bounds_match_paper_forms(catalogue, monkeypatch):
     and 10^4.  bound_i agrees to 1e-12 relative; bound_v to 1e-12 beta
     ((d+1)N + 2M) absolute, since the paper's form leaves cancellation
     residue where the bound is 0."""
-    m_of = functools.cache(max_sum_squares)  # M(N, k) once, not once per family
+    m_of = functools.cache(max_sum_squares)  # unbounded: 2527 (N, k) outgrow the module memo
     monkeypatch.setattr(partitions, "max_sum_squares", m_of)
     monkeypatch.setattr(oracles, "max_sum_squares", m_of)
     cases = [(n, k) for n in range(1, 51) for k in range(1 - n, n)] + [
